@@ -32,9 +32,14 @@ fuzz:
 
 check: vet build race
 
-# lint runs go vet always and staticcheck when installed (CI installs
-# it; locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
+# lint runs go vet, fails on any file gofmt would rewrite, and runs
+# staticcheck when installed (CI installs it; locally: go install
+# honnef.co/go/tools/cmd/staticcheck@latest).
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -42,14 +47,13 @@ lint: vet
 	fi
 
 # bench refreshes the committed engine perf baseline: run the hot-loop
-# engine benchmarks plus the per-codec kernel/reference pairs with
+# engine benchmark plus the per-codec kernel/reference pairs with
 # -benchmem and render them as BENCH_engine.json via cmd/benchjson. The
-# comparison block asserts the pooled engine against the legacy-shaped
-# (pooling-disabled) run; the codecs block carries the kernel-vs-scalar
-# speedup per codec, which bench-gate (and CI) holds to its floors.
+# codecs block carries the kernel-vs-scalar speedup per codec, which
+# bench-gate (and CI) holds to its floors.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkLegacySimRun|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
+		-bench 'BenchmarkEngineRun|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
 		-benchmem -benchtime 2s -count 1 \
 		./internal/engine ./internal/ecc ./internal/ondie | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson > BENCH_engine.json

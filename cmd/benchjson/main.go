@@ -8,13 +8,9 @@
 //	go test -bench . -benchmem ./internal/engine | benchjson > BENCH_engine.json
 //
 // The output keeps the benchstat-friendly raw lines alongside the parsed
-// numbers, and — when both the pooled engine and the legacy-shaped
-// benchmark are present — computes the allocation and time reduction of
-// the pooled path, the figures the issue's acceptance bar is stated in.
-//
-// Codec benchmark pairs (a sub-benchmark plus its ".../ref" scalar
-// sibling, see internal/ecc and internal/ondie) are additionally folded
-// into a "codecs" comparison block carrying the kernel-vs-reference
+// numbers. Codec benchmark pairs (a sub-benchmark plus its ".../ref"
+// scalar sibling, see internal/ecc and internal/ondie) are additionally
+// folded into a "codecs" comparison block carrying the kernel-vs-reference
 // speedup ratio per codec. A second mode,
 //
 //	go run ./cmd/benchjson -gate BENCH_engine.json
@@ -53,17 +49,6 @@ type Benchmark struct {
 	Raw string `json:"raw"`
 }
 
-// Comparison relates the pooled engine benchmark to the legacy-shaped
-// one (pooling disabled), expressing the refactor's win as percentages.
-type Comparison struct {
-	Engine string `json:"engine"`
-	Legacy string `json:"legacy"`
-	// AllocReductionPct is 100*(1 - engine.allocs/legacy.allocs).
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-	BytesReductionPct float64 `json:"bytes_reduction_pct"`
-	TimeReductionPct  float64 `json:"time_reduction_pct"`
-}
-
 // CodecComparison relates one codec's kernel benchmark to its ".../ref"
 // scalar sibling. Speedup is ref_ns/kernel_ns, the ratio CI gates.
 type CodecComparison struct {
@@ -84,7 +69,6 @@ type Report struct {
 	Package    string            `json:"pkg,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
-	Comparison *Comparison       `json:"comparison,omitempty"`
 	Codecs     []CodecComparison `json:"codecs,omitempty"`
 }
 
@@ -114,7 +98,6 @@ func run(in *os.File, out *os.File) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin (run with `go test -bench . -benchmem`)")
 	}
-	rep.Comparison = compare(rep.Benchmarks)
 	rep.Codecs = codecComparisons(rep.Benchmarks)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
@@ -276,33 +259,4 @@ func parseLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
-}
-
-// compare pairs the pooled engine benchmark with the legacy-shaped one;
-// nil when either is absent or lacks -benchmem columns.
-func compare(bs []Benchmark) *Comparison {
-	var engine, legacy *Benchmark
-	for i := range bs {
-		switch {
-		case strings.HasPrefix(bs[i].Name, "BenchmarkEngineRun"):
-			engine = &bs[i]
-		case strings.HasPrefix(bs[i].Name, "BenchmarkLegacySimRun"):
-			legacy = &bs[i]
-		}
-	}
-	if engine == nil || legacy == nil ||
-		engine.AllocsPerOp < 0 || legacy.AllocsPerOp <= 0 ||
-		legacy.BytesPerOp <= 0 || legacy.NsPerOp <= 0 {
-		return nil
-	}
-	pct := func(eng, leg float64) float64 {
-		return 100 * (1 - eng/leg)
-	}
-	return &Comparison{
-		Engine:            engine.Name,
-		Legacy:            legacy.Name,
-		AllocReductionPct: pct(float64(engine.AllocsPerOp), float64(legacy.AllocsPerOp)),
-		BytesReductionPct: pct(float64(engine.BytesPerOp), float64(legacy.BytesPerOp)),
-		TimeReductionPct:  pct(engine.NsPerOp, legacy.NsPerOp),
-	}
 }

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/ondie"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -139,7 +139,7 @@ func runF22(env *environment) ([]core.Table, error) {
 	}
 	for _, r := range []struct {
 		name string
-		res  *sim.Result
+		res  *engine.Result
 	}{{"uniform", uRes}, {"profiled", pRes}} {
 		profT.AddRow(r.name,
 			fmt.Sprintf("%d", r.res.UEs),

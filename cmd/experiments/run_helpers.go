@@ -2,7 +2,7 @@ package main
 
 import (
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -11,16 +11,12 @@ import (
 // core entry point, so a stuck or oversized run aborts instead of hanging
 // the whole regeneration.
 
-func (env *environment) runOne(sys core.System, m core.Mechanism, w trace.Workload) (*sim.Result, error) {
+func (env *environment) runOne(sys core.System, m core.Mechanism, w trace.Workload) (*engine.Result, error) {
 	return core.RunOneContext(env.ctx, sys, m, w)
 }
 
-func (env *environment) runOneWithOptions(sys core.System, m core.Mechanism, w trace.Workload, o core.Options) (*sim.Result, error) {
+func (env *environment) runOneWithOptions(sys core.System, m core.Mechanism, w trace.Workload, o core.Options) (*engine.Result, error) {
 	return core.RunOneWithOptionsContext(env.ctx, sys, m, w, o)
-}
-
-func (env *environment) runOneWithLeveling(sys core.System, m core.Mechanism, w trace.Workload, gapPeriod uint64) (*sim.Result, error) {
-	return env.runOneWithOptions(sys, m, w, core.Options{GapMovePeriod: gapPeriod})
 }
 
 func (env *environment) runReplicated(sys core.System, m core.Mechanism, w trace.Workload, replicas int) (*core.Replicated, error) {

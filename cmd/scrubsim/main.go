@@ -14,14 +14,13 @@
 //	scrubsim -workload kv-store -record kv.trace          # export a trace
 //	scrubsim -trace kv.trace -mechanism combined          # replay it
 //	scrubsim -mechanism combined -json                    # machine-readable result
-//	scrubsim -mechanism combined -trace-stages            # per-stage engine timings
 //	scrubsim -submit http://127.0.0.1:8344 -replicas 8    # run remotely on scrubd
 //
 // With -submit the flags become a scrubd job spec: the job is POSTed to
 // the daemon, polled until it finishes, and reported exactly like a
 // local run (plus a replica-spread summary when -replicas > 1). Flags
-// that have no job-spec equivalent (-trace, -record, -gap, -slc, -ecp,
-// -trace-stages) are rejected in this mode.
+// that have no job-spec equivalent (-trace, -record, -gap, -slc, -ecp)
+// are rejected in this mode.
 package main
 
 import (
@@ -46,7 +45,6 @@ import (
 	"repro/internal/ondie"
 	"repro/internal/scrub"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -76,7 +74,6 @@ func run() error {
 		list     = flag.Bool("list", false, "list workloads and mechanisms, then exit")
 		jsonOut  = flag.Bool("json", false, "emit the run result as a single JSON object (the scrubd result encoding)")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
-		traceStg = flag.Bool("trace-stages", false, "record per-stage wall-clock spans of the run pipeline and print them after the report (local runs only)")
 		submit   = flag.String("submit", "", "submit the run as a job to this scrubd base URL instead of simulating locally")
 		replicas = flag.Int("replicas", 0, "Monte Carlo replica count for -submit jobs (0 = 1)")
 		pollWait = flag.Duration("poll-timeout", 0, "give up waiting for a submitted job after this long (0 = wait forever)")
@@ -130,8 +127,8 @@ func run() error {
 	}
 
 	if *submit != "" {
-		if *traceIn != "" || *record != "" || *gap != 0 || *slc != 0 || *ecpN != 0 || *traceStg {
-			return fmt.Errorf("-trace, -record, -gap, -slc, -ecp and -trace-stages have no job-spec equivalent; drop them or run locally")
+		if *traceIn != "" || *record != "" || *gap != 0 || *slc != 0 || *ecpN != 0 {
+			return fmt.Errorf("-trace, -record, -gap, -slc and -ecp have no job-spec equivalent; drop them or run locally")
 		}
 		spec := service.Spec{
 			Mechanism:   *mechName,
@@ -196,7 +193,7 @@ func run() error {
 	if *record != "" {
 		return recordTrace(sys, w, *record)
 	}
-	var source sim.TrafficSource
+	var source engine.TrafficSource
 	if *traceIn != "" {
 		source, err = loadTrace(sys, *traceIn)
 		if err != nil {
@@ -234,18 +231,12 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := core.Options{
+	res, err := core.RunOneWithOptionsContext(ctx, sys, mech, w, core.Options{
 		GapMovePeriod: *gap,
 		SLCFraction:   *slc,
 		Source:        source,
 		ECPEntries:    *ecpN,
-	}
-	var spans *engine.SpanRecorder
-	if *traceStg {
-		spans = &engine.SpanRecorder{}
-		opts.Hooks = &engine.Hooks{Spans: spans}
-	}
-	res, err := core.RunOneWithOptionsContext(ctx, sys, mech, w, opts)
+	})
 	if err != nil {
 		return err
 	}
@@ -255,40 +246,13 @@ func run() error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(service.NewRunMetrics(res))
 	}
-	if err := printReport(sys, mech, w, res, *gap > 0); err != nil {
-		return err
-	}
-	if spans != nil {
-		fmt.Println()
-		if err := printStages(spans); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// printStages renders the engine's per-stage span timings, recorded when
-// -trace-stages wires a SpanRecorder into the run's instrumentation
-// hooks. Stages with zero observations (e.g. probes under a full-decode
-// policy) are elided.
-func printStages(rec *engine.SpanRecorder) error {
-	st := core.Table{Title: "Engine stages", Header: []string{"stage", "spans", "total", "mean"}}
-	for _, sp := range rec.Spans() {
-		if sp.Count == 0 {
-			continue
-		}
-		st.AddRow(sp.Stage,
-			core.FmtCount(sp.Count),
-			time.Duration(sp.Nanos).Round(time.Microsecond).String(),
-			time.Duration(sp.MeanNanos).Round(time.Nanosecond).String())
-	}
-	return st.Render(os.Stdout)
+	return printReport(sys, mech, w, res, *gap > 0)
 }
 
 // printReport renders the standard run report — shared by local runs and
 // remote results reconstructed from a scrubd job. showGap adds the
 // wear-leveler row, which only local runs can enable.
-func printReport(sys core.System, mech core.Mechanism, w trace.Workload, res *sim.Result, showGap bool) error {
+func printReport(sys core.System, mech core.Mechanism, w trace.Workload, res *engine.Result, showGap bool) error {
 	fmt.Printf("mechanism  %s (scheme %s, policy %s)\n", mech.Name, mech.Scheme.Name(), mech.Policy.Name())
 	fmt.Printf("workload   %s\n", w.Name)
 	fmt.Printf("region     %d lines (%d KiB data), horizon %s, initial interval %s\n",
@@ -615,7 +579,7 @@ func recordTrace(sys core.System, w trace.Workload, path string) error {
 
 // loadTrace reads a trace file and wraps it in a replayer sized to the
 // simulated region.
-func loadTrace(sys core.System, path string) (sim.TrafficSource, error) {
+func loadTrace(sys core.System, path string) (engine.TrafficSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -3,14 +3,16 @@
 // back. Three runs of the same aged device:
 //
 //  1. no on-die ECC — the controller sees every raw error;
+//
 //  2. on-die SECDED under a uniform patrol — sub-strength errors vanish
 //     from telemetry until a line overflows, then surface all at once,
 //     miscorrection-inflated;
+//
 //  3. the same chip under an active-profiling policy — periodic profiling
 //     rounds build an at-risk set and patrol visits are biased toward it
 //     at exactly equal scrub bandwidth.
 //
-//	go run ./examples/ondie
+//     go run ./examples/ondie
 package main
 
 import (
@@ -20,9 +22,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/ondie"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -83,14 +85,14 @@ func main() {
 		Title:  "What the controller sees (aged device, BCH-4 controller)",
 		Header: []string{"metric", "no on-die ECC", "on-die SECDED", "on-die + profiling"},
 	}
-	row := func(name string, f func(*sim.Result) string) {
+	row := func(name string, f func(*engine.Result) string) {
 		vis.AddRow(name, f(bare), f(hidden), f(profiled))
 	}
-	row("controller corrected bits", func(r *sim.Result) string { return core.FmtCount(r.CorrectedBits) })
-	row("hidden corrected bits", func(r *sim.Result) string { return core.FmtCount(r.OnDieCorrectedBits) })
-	row("on-die overflows", func(r *sim.Result) string { return core.FmtCount(r.OnDieOverflows) })
-	row("uncorrectable errors", func(r *sim.Result) string { return core.FmtCount(r.UEs) })
-	row("scrub visits", func(r *sim.Result) string { return core.FmtCount(r.ScrubVisits) })
+	row("controller corrected bits", func(r *engine.Result) string { return core.FmtCount(r.CorrectedBits) })
+	row("hidden corrected bits", func(r *engine.Result) string { return core.FmtCount(r.OnDieCorrectedBits) })
+	row("on-die overflows", func(r *engine.Result) string { return core.FmtCount(r.OnDieOverflows) })
+	row("uncorrectable errors", func(r *engine.Result) string { return core.FmtCount(r.UEs) })
+	row("scrub visits", func(r *engine.Result) string { return core.FmtCount(r.ScrubVisits) })
 	if err := vis.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

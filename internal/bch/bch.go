@@ -328,4 +328,3 @@ func (c *Code) berlekampMassey(s []uint32) []uint32 {
 	}
 	return cPoly[:L+1]
 }
-

@@ -12,9 +12,9 @@ import (
 var diffCodes = []struct {
 	m, t, msgBits int
 }{
-	{7, 2, 64},   // on-die word shape
-	{8, 2, 100},  // shortened, odd bit count (partial final byte)
-	{8, 4, 128},  // line-style strength
+	{7, 2, 64},  // on-die word shape
+	{8, 2, 100}, // shortened, odd bit count (partial final byte)
+	{8, 4, 128}, // line-style strength
 }
 
 // FuzzBCHDecodeDifferential pins the kernel path to the scalar reference
@@ -32,11 +32,11 @@ func FuzzBCHDecodeDifferential(f *testing.F) {
 
 	f.Add([]byte{0x00}, byte(0), uint64(1), byte(0))
 	f.Add([]byte{0xff, 0x3c}, byte(1), uint64(2), byte(0))
-	f.Add([]byte("edge-low"), byte(2), uint64(3), byte(2))        // forced flip at position 0
-	f.Add([]byte("edge-high"), byte(2), uint64(4), byte(1))       // forced flip at support-1
-	f.Add([]byte("edge-both"), byte(3), uint64(5), byte(3))       // both support edges
-	f.Add([]byte("at-capability"), byte(4), uint64(42), byte(4))  // weight t on the t=4 shape
-	f.Add([]byte("overflow-t1"), byte(5), uint64(7), byte(8))     // weight t+1
+	f.Add([]byte("edge-low"), byte(2), uint64(3), byte(2))       // forced flip at position 0
+	f.Add([]byte("edge-high"), byte(2), uint64(4), byte(1))      // forced flip at support-1
+	f.Add([]byte("edge-both"), byte(3), uint64(5), byte(3))      // both support edges
+	f.Add([]byte("at-capability"), byte(4), uint64(42), byte(4)) // weight t on the t=4 shape
+	f.Add([]byte("overflow-t1"), byte(5), uint64(7), byte(8))    // weight t+1
 	f.Add([]byte("overflow-t2"), byte(6), uint64(0xbeef), byte(8))
 	f.Fuzz(func(t *testing.T, msg []byte, nraw byte, posSeed uint64, edge byte) {
 		for ci, d := range diffCodes {

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // tinySpec is a fast, valid, normalised spec for cluster tests.
@@ -512,7 +512,7 @@ func TestPlanShards(t *testing.T) {
 }
 
 func TestShardResponseValidatesEcho(t *testing.T) {
-	resp := &ShardResponse{First: 2, Count: 3, Results: make([]*sim.Result, 3)}
+	resp := &ShardResponse{First: 2, Count: 3, Results: make([]*engine.Result, 3)}
 	if _, err := resp.Shard(2, 3); err != nil {
 		t.Errorf("matching echo rejected: %v", err)
 	}
@@ -522,7 +522,7 @@ func TestShardResponseValidatesEcho(t *testing.T) {
 	if _, err := resp.Shard(2, 4); err == nil {
 		t.Error("mismatched count accepted")
 	}
-	short := &ShardResponse{First: 2, Count: 3, Results: make([]*sim.Result, 2)}
+	short := &ShardResponse{First: 2, Count: 3, Results: make([]*engine.Result, 2)}
 	if _, err := short.Shard(2, 3); err == nil {
 		t.Error("short results slice accepted")
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wear"
 )
@@ -92,54 +91,38 @@ func FixedIntervalFor(sys System, tolerable int) (float64, error) {
 //
 // Intervals are derived from the drift model against sys.RiskTarget.
 func Suite(sys System) ([]Mechanism, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	secded := ecc.NewSECDEDLine()
-	bch8, err := ecc.NewBCHLine(8)
+	// The combined rung validates sys and derives the BCH-8 scheme and
+	// its safe interval, which the middle rungs share.
+	combined, err := CombinedMechanism(sys)
 	if err != nil {
 		return nil, err
 	}
+	bch8, strongInterval := combined.Scheme, combined.Interval
 	// SECDED tolerates one error per line safely (two may share a word).
 	basicInterval, err := FixedIntervalFor(sys, 1)
 	if err != nil {
 		return nil, err
 	}
-	// BCH-8 runs two errors of margin below its capability.
-	strongInterval, err := FixedIntervalFor(sys, bch8.T()-2)
-	if err != nil {
-		return nil, err
-	}
-	const thr = 6
-	adaptive := scrub.DefaultAdaptive()
-	// Never grow past the drift-derived safe interval: beyond it, a single
-	// sweep over lines that stopped being rewritten (a workload phase
-	// change) can overshoot the ECC margin before the controller reacts.
-	// Adaptivity earns its keep *below* the safe bound, shrinking when
-	// threshold write-backs let errors ride across sweeps.
-	adaptive.MaxInterval = math.Min(sys.Horizon/4, strongInterval)
-	combined := scrub.MustNew(scrub.Config{
-		Label:          "combined",
-		Detect:         scrub.LightDetect,
-		WriteThreshold: thr,
-		WearAware:      true,
-		Adaptive:       &adaptive,
-	})
 	return []Mechanism{
-		{Name: "basic", Scheme: secded, Policy: scrub.Basic(), Interval: basicInterval},
+		{Name: "basic", Scheme: ecc.NewSECDEDLine(), Policy: scrub.Basic(), Interval: basicInterval},
 		{Name: "strong-ecc", Scheme: bch8, Policy: scrub.Basic(), Interval: strongInterval},
 		{Name: "light-detect", Scheme: bch8, Policy: scrub.LightBasic(), Interval: strongInterval},
 		{Name: "threshold", Scheme: bch8, Policy: scrub.MustNew(scrub.Config{
-			Label: "threshold", Detect: scrub.LightDetect, WriteThreshold: thr,
+			Label: "threshold", Detect: scrub.LightDetect, WriteThreshold: combinedThreshold,
 		}), Interval: strongInterval},
-		{Name: "combined", Scheme: bch8, Policy: combined, Interval: strongInterval},
+		combined,
 	}, nil
 }
+
+// combinedThreshold is the write-back threshold of the threshold and
+// combined rungs: BCH-8 lines are rewritten only at six or more errors.
+const combinedThreshold = 6
 
 // CombinedMechanism builds the paper's combined mechanism directly,
 // without deriving the rest of the ladder — usable even for device
 // parameters under which the SECDED baseline's risk target is unreachable
-// (e.g. very coarse programming in the F16 precision sweep).
+// (e.g. very coarse programming in the F16 precision sweep). Suite builds
+// its top rung here.
 func CombinedMechanism(sys System) (Mechanism, error) {
 	if err := sys.Validate(); err != nil {
 		return Mechanism{}, err
@@ -148,11 +131,18 @@ func CombinedMechanism(sys System) (Mechanism, error) {
 	if err != nil {
 		return Mechanism{}, err
 	}
+	// BCH-8 runs two errors of margin below its capability.
 	strongInterval, err := FixedIntervalFor(sys, bch8.T()-2)
 	if err != nil {
 		return Mechanism{}, err
 	}
 	adaptive := scrub.DefaultAdaptive()
+	// Never grow past the drift-derived safe interval: beyond it, a single
+	// sweep over lines that stopped being rewritten (a workload phase
+	// change) can overshoot the ECC margin before the controller reacts.
+	// Adaptivity earns its keep *below* the safe bound, shrinking when
+	// threshold write-backs let errors ride across sweeps. Short horizons
+	// can push that bound under the default floor, which then drops too.
 	adaptive.MaxInterval = math.Min(sys.Horizon/4, strongInterval)
 	if adaptive.MinInterval > adaptive.MaxInterval {
 		adaptive.MinInterval = adaptive.MaxInterval / 4
@@ -160,7 +150,7 @@ func CombinedMechanism(sys System) (Mechanism, error) {
 	policy := scrub.MustNew(scrub.Config{
 		Label:          "combined",
 		Detect:         scrub.LightDetect,
-		WriteThreshold: 6,
+		WriteThreshold: combinedThreshold,
 		WearAware:      true,
 		Adaptive:       &adaptive,
 	})
@@ -183,51 +173,44 @@ func SuiteMechanism(sys System, name string) (Mechanism, error) {
 
 // RunOne simulates one mechanism under one workload. Suite-produced
 // policies are stateless, so a Mechanism can be reused across runs.
-func RunOne(sys System, m Mechanism, w trace.Workload) (*sim.Result, error) {
+func RunOne(sys System, m Mechanism, w trace.Workload) (*engine.Result, error) {
 	return RunOneContext(context.Background(), sys, m, w)
 }
 
 // RunOneContext is RunOne under a context: cancellation is honoured
 // within a few hundred scrub visits.
-func RunOneContext(ctx context.Context, sys System, m Mechanism, w trace.Workload) (*sim.Result, error) {
+func RunOneContext(ctx context.Context, sys System, m Mechanism, w trace.Workload) (*engine.Result, error) {
 	return RunOneWithOptionsContext(ctx, sys, m, w, Options{})
 }
 
 // Options exposes simulator-only knobs that are not part of a Mechanism:
-// the optional substrates layered under the scrub study, plus run
-// instrumentation.
+// the optional substrates layered under the scrub study.
 type Options = engine.Options
 
 // RunOneWithOptions is RunOne with the optional substrates configured.
-func RunOneWithOptions(sys System, m Mechanism, w trace.Workload, o Options) (*sim.Result, error) {
+func RunOneWithOptions(sys System, m Mechanism, w trace.Workload, o Options) (*engine.Result, error) {
 	return RunOneWithOptionsContext(context.Background(), sys, m, w, o)
 }
 
 // RunOneWithOptionsContext is RunOneWithOptions under a context.
-func RunOneWithOptionsContext(ctx context.Context, sys System, m Mechanism, w trace.Workload, o Options) (*sim.Result, error) {
+func RunOneWithOptionsContext(ctx context.Context, sys System, m Mechanism, w trace.Workload, o Options) (*engine.Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
 	return engine.RunContext(ctx, engine.ResolveSpec(sys, m, w, o))
 }
 
-// RunOneWithLeveling is RunOne with Start-Gap wear leveling enabled at
-// the given gap-move period (0 = leveling off).
-func RunOneWithLeveling(sys System, m Mechanism, w trace.Workload, gapPeriod uint64) (*sim.Result, error) {
-	return RunOneWithOptions(sys, m, w, Options{GapMovePeriod: gapPeriod})
-}
-
 // Matrix is a full mechanisms × workloads comparison.
 type Matrix struct {
 	Mechanisms []string
 	Workloads  []string
-	cells      map[string]*sim.Result // key mech + "\x00" + workload
+	cells      map[string]*engine.Result // key mech + "\x00" + workload
 }
 
 func cellKey(mech, workload string) string { return mech + "\x00" + workload }
 
 // Get returns the result for a cell, or nil if absent.
-func (mx *Matrix) Get(mech, workload string) *sim.Result {
+func (mx *Matrix) Get(mech, workload string) *engine.Result {
 	return mx.cells[cellKey(mech, workload)]
 }
 
@@ -274,7 +257,7 @@ func RunMatrixContext(ctx context.Context, sys System, mechanisms []Mechanism, w
 	if len(mechanisms) == 0 || len(workloads) == 0 {
 		return nil, fmt.Errorf("core: need at least one mechanism and one workload")
 	}
-	mx := &Matrix{cells: make(map[string]*sim.Result)}
+	mx := &Matrix{cells: make(map[string]*engine.Result)}
 	for _, m := range mechanisms {
 		mx.Mechanisms = append(mx.Mechanisms, m.Name)
 	}
@@ -368,7 +351,7 @@ func (mx *Matrix) ComputeHeadline(baseline, proposed string) (Headline, error) {
 
 // PerfOverhead estimates, via the queueing model, the demand slowdown a
 // result's scrub traffic causes under its workload's read/write rates.
-func PerfOverhead(sys System, w trace.Workload, r *sim.Result) (float64, error) {
+func PerfOverhead(sys System, w trace.Workload, r *engine.Result) (float64, error) {
 	m, err := memctrl.NewModel(sys.Timing)
 	if err != nil {
 		return 0, err

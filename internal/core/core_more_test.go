@@ -62,25 +62,11 @@ func TestRunOneWithOptions(t *testing.T) {
 	}
 }
 
-func TestRunOneWithLevelingDelegates(t *testing.T) {
-	sys := smallSystem()
-	sys.Horizon = 20000
-	m, _ := SuiteMechanism(sys, "threshold")
-	// Short period so the small run's ~100 demand writes trigger moves.
-	res, err := RunOneWithLeveling(sys, m, smallWorkload(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LevelerMoves == 0 {
-		t.Error("leveler not engaged")
-	}
-}
-
 func TestRunMatrixPropagatesCellErrors(t *testing.T) {
 	sys := smallSystem()
 	ms, _ := Suite(sys)
 	broken := ms[0]
-	broken.Interval = 0 // sim.Config validation will reject
+	broken.Interval = 0 // engine.Spec validation will reject
 	if _, err := RunMatrix(sys, []Mechanism{broken}, []trace.Workload{smallWorkload()}); err == nil {
 		t.Error("broken mechanism accepted by RunMatrix")
 	}

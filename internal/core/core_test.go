@@ -108,6 +108,26 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestSuiteShortHorizon pins that horizons too short for the default
+// adaptive floor still yield the full ladder (the combined rung clamps
+// its minimum interval) and that every rung runs.
+func TestSuiteShortHorizon(t *testing.T) {
+	sys := smallSystem()
+	sys.Horizon = 600
+	ms, err := Suite(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 5 {
+		t.Fatalf("suite has %d mechanisms, want 5", len(ms))
+	}
+	for _, m := range ms {
+		if _, err := RunOne(sys, m, smallWorkload()); err != nil {
+			t.Errorf("%s: %v", m.Name, err)
+		}
+	}
+}
+
 func TestSuiteMechanismLookup(t *testing.T) {
 	sys := smallSystem()
 	m, err := SuiteMechanism(sys, "combined")

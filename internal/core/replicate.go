@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -51,7 +50,7 @@ type Replicated struct {
 	ScrubEnergy stats.Summary // pJ
 	// Results holds the individual runs in replica order. A nil entry
 	// marks a failed replica, so index-paired comparisons stay aligned.
-	Results []*sim.Result
+	Results []*engine.Result
 	// Requested is the replica count asked for; Completed the number
 	// that produced results.
 	Requested, Completed int
@@ -90,11 +89,11 @@ func replicaSeed(base uint64, idx int) uint64 {
 
 // runReplica executes one simulation. It is a variable so supervision
 // tests can substitute failure modes.
-var runReplica = sim.RunContext
+var runReplica = engine.RunContext
 
 // safeRunReplica calls runReplica with panic containment: a defect in
 // one replica becomes an error instead of killing the whole campaign.
-func safeRunReplica(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
+func safeRunReplica(ctx context.Context, cfg engine.Spec) (res *engine.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("replica panicked: %v", p)
@@ -149,7 +148,7 @@ type Shard struct {
 	First, Count int
 	// Results holds the shard's runs in replica order (index i is
 	// absolute replica First+i). A nil entry marks a failed replica.
-	Results []*sim.Result
+	Results []*engine.Result
 	// Retried counts replicas that failed once and succeeded on their
 	// reseeded retry.
 	Retried int
@@ -177,7 +176,7 @@ func RunShardContext(ctx context.Context, sys System, m Mechanism, w trace.Workl
 	shard := &Shard{
 		First:   first,
 		Count:   count,
-		Results: make([]*sim.Result, count),
+		Results: make([]*engine.Result, count),
 	}
 	allowedFailures := int(math.Floor(maxFailedFraction * float64(count)))
 
@@ -278,7 +277,7 @@ func MergeReplicated(mechanism, workload string, requested int, shards []*Shard)
 	rep := &Replicated{
 		Mechanism: mechanism,
 		Workload:  workload,
-		Results:   make([]*sim.Result, requested),
+		Results:   make([]*engine.Result, requested),
 		Requested: requested,
 	}
 	covered := make([]bool, requested)

@@ -12,12 +12,11 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 )
 
 // withReplicaRunner substitutes the replica runner for the duration of a
 // test, restoring the real one afterwards.
-func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg sim.Config) (*sim.Result, error)) {
+func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg engine.Spec) (*engine.Result, error)) {
 	t.Helper()
 	orig := runReplica
 	runReplica = fn
@@ -25,8 +24,8 @@ func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg sim.Config
 }
 
 // fakeResult builds a minimal successful result for supervision tests.
-func fakeResult(seed uint64) *sim.Result {
-	return &sim.Result{UEs: int64(seed % 7), ScrubWriteBacks: 100 + int64(seed%13)}
+func fakeResult(seed uint64) *engine.Result {
+	return &engine.Result{UEs: int64(seed % 7), ScrubWriteBacks: 100 + int64(seed%13)}
 }
 
 // seedIndex recovers the replica index (and whether this is the retry
@@ -47,7 +46,7 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 	sys := smallSystem()
 	var mu sync.Mutex
 	attempts := map[int]int{}
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		idx, retry := seedIndex(sys.Seed, cfg.Seed)
 		mu.Lock()
 		attempts[idx]++
@@ -78,7 +77,7 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 
 func TestRunReplicatedPartialResults(t *testing.T) {
 	sys := smallSystem()
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		if idx, _ := seedIndex(sys.Seed, cfg.Seed); idx == 4 {
 			return nil, errors.New("persistent synthetic failure")
 		}
@@ -112,7 +111,7 @@ func TestRunReplicatedPartialResults(t *testing.T) {
 
 func TestRunReplicatedFailureBudgetExceeded(t *testing.T) {
 	sys := smallSystem()
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		if idx, _ := seedIndex(sys.Seed, cfg.Seed); idx < 3 {
 			return nil, errors.New("persistent synthetic failure")
 		}
@@ -133,7 +132,7 @@ func TestRunReplicatedStopsLaunchingAfterAbort(t *testing.T) {
 	replicas := 8*runtime.GOMAXPROCS(0) + 16
 	var mu sync.Mutex
 	calls := 0
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -203,18 +202,18 @@ func (p panicPolicy) NextInterval(cur float64, rs scrub.RoundStats) float64 {
 }
 
 func TestCompareReplicatedReportsSkippedPairs(t *testing.T) {
-	mk := func(ues, writes int64, energy float64) *sim.Result {
-		r := &sim.Result{UEs: ues, ScrubWriteBacks: writes}
+	mk := func(ues, writes int64, energy float64) *engine.Result {
+		r := &engine.Result{UEs: ues, ScrubWriteBacks: writes}
 		r.ScrubEnergy.WritePJ = energy
 		return r
 	}
-	baseline := &Replicated{Results: []*sim.Result{
+	baseline := &Replicated{Results: []*engine.Result{
 		mk(10, 100, 50), // clean pair
 		nil,             // failed baseline replica
 		mk(0, 100, 50),  // zero-UE baseline: UE pair unusable
 		mk(10, 100, 0),  // zero-energy baseline: energy pair unusable
 	}}
-	proposed := &Replicated{Results: []*sim.Result{
+	proposed := &Replicated{Results: []*engine.Result{
 		mk(5, 50, 25),
 		mk(5, 50, 25),
 		mk(5, 50, 25),
@@ -237,7 +236,7 @@ func TestCompareReplicatedReportsSkippedPairs(t *testing.T) {
 }
 
 func TestCompareReplicatedAllPairsDead(t *testing.T) {
-	dead := &Replicated{Results: []*sim.Result{nil, nil}}
+	dead := &Replicated{Results: []*engine.Result{nil, nil}}
 	if _, err := CompareReplicated(dead, dead); err == nil {
 		t.Error("comparison with no surviving pairs should error")
 	}

@@ -23,10 +23,10 @@ func FuzzSECDEDDecodeDifferential(f *testing.F) {
 	crc := NewCRC16()
 
 	f.Add([]byte{0x00}, byte(0), uint64(1))
-	f.Add([]byte{0xff}, byte(1), uint64(2))          // single: corrects
-	f.Add([]byte("double-bit"), byte(2), uint64(3))  // double: refuses
-	f.Add([]byte("triple-bit"), byte(3), uint64(4))  // t+2: aliasing regime
-	f.Add([]byte("edge-low"), byte(1), uint64(0))    // placement edges via seed
+	f.Add([]byte{0xff}, byte(1), uint64(2))         // single: corrects
+	f.Add([]byte("double-bit"), byte(2), uint64(3)) // double: refuses
+	f.Add([]byte("triple-bit"), byte(3), uint64(4)) // t+2: aliasing regime
+	f.Add([]byte("edge-low"), byte(1), uint64(0))   // placement edges via seed
 	f.Add([]byte{0xa5, 0x5a}, byte(3), uint64(0xbeef))
 	f.Fuzz(func(t *testing.T, data []byte, nraw byte, posSeed uint64) {
 		payload := fillLine(data)

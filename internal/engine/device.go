@@ -76,13 +76,14 @@ type ChunkReport struct {
 // NewDevice validates the spec and initialises a persistent device at
 // simulated time zero. The spec's Horizon and ScrubInterval are not used
 // for stepping (the caller owns time); they only need to satisfy spec
-// validation. Pooling is disabled: the state lives as long as the device.
+// validation. The device takes its state from the run pool and keeps it
+// for life; its drift sampler is the shared cached one, which is
+// read-only and safe to use from concurrently patrolling devices.
 func NewDevice(spec Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{DisablePooling: true}
-	s, err := r.newState(spec)
+	s, err := newState(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -89,39 +90,59 @@ func TestDeviceScrubRangeLeavesPatrolCursor(t *testing.T) {
 	}
 }
 
+// patrolTrajectory drives d through a fixed call sequence (patrol chunks,
+// a preempting range scrub, a repair) and returns every chunk report plus
+// the final totals.
+func patrolTrajectory(d *Device) ([]ChunkReport, Result, error) {
+	var reps []ChunkReport
+	step := func(rep ChunkReport, err error) error {
+		if err != nil {
+			return err
+		}
+		// Copy observations out of the reused buffer.
+		rep.Observations = append([]LineObservation(nil), rep.Observations...)
+		reps = append(reps, rep)
+		return nil
+	}
+	for i := 0; i < 4; i++ {
+		if err := step(d.PatrolChunk(32, 3600, nil)); err != nil {
+			return nil, Result{}, err
+		}
+	}
+	if err := step(d.ScrubRange(0, 64, 1800, nil)); err != nil {
+		return nil, Result{}, err
+	}
+	if err := d.RepairLine(3); err != nil {
+		return nil, Result{}, err
+	}
+	for i := 0; i < 4; i++ {
+		if err := step(d.PatrolChunk(32, 7200, nil)); err != nil {
+			return nil, Result{}, err
+		}
+	}
+	return reps, d.Totals(), nil
+}
+
+// serialTrajectory runs patrolTrajectory on a fresh device of spec.
+func serialTrajectory(t *testing.T, spec Spec) ([]ChunkReport, Result) {
+	t.Helper()
+	d, err := NewDevice(spec)
+	if err != nil {
+		t.Fatalf("NewDevice: %v", err)
+	}
+	reps, tot, err := patrolTrajectory(d)
+	if err != nil {
+		t.Fatalf("trajectory: %v", err)
+	}
+	return reps, tot
+}
+
 // TestDeviceDeterministicTrajectory pins the Device contract the fleet
 // control plane builds on: the same seed and the same call sequence
-// (patrol chunks, a preempting range scrub, a repair) reproduce the same
-// counters and observations exactly.
+// reproduce the same counters and observations exactly.
 func TestDeviceDeterministicTrajectory(t *testing.T) {
-	runTrajectory := func() ([]ChunkReport, Result) {
-		d, err := NewDevice(deviceSpec(t, 99))
-		if err != nil {
-			t.Fatalf("NewDevice: %v", err)
-		}
-		var reps []ChunkReport
-		step := func(rep ChunkReport, err error) {
-			if err != nil {
-				t.Fatalf("step: %v", err)
-			}
-			// Copy observations out of the reused buffer.
-			rep.Observations = append([]LineObservation(nil), rep.Observations...)
-			reps = append(reps, rep)
-		}
-		for i := 0; i < 4; i++ {
-			step(d.PatrolChunk(32, 3600, nil))
-		}
-		step(d.ScrubRange(0, 64, 1800, nil))
-		if err := d.RepairLine(3); err != nil {
-			t.Fatalf("RepairLine: %v", err)
-		}
-		for i := 0; i < 4; i++ {
-			step(d.PatrolChunk(32, 7200, nil))
-		}
-		return reps, d.Totals()
-	}
-	repsA, totA := runTrajectory()
-	repsB, totB := runTrajectory()
+	repsA, totA := serialTrajectory(t, deviceSpec(t, 99))
+	repsB, totB := serialTrajectory(t, deviceSpec(t, 99))
 	if !reflect.DeepEqual(repsA, repsB) {
 		t.Fatalf("chunk reports diverged across identical runs:\nA: %+v\nB: %+v", repsA, repsB)
 	}
@@ -131,6 +152,51 @@ func TestDeviceDeterministicTrajectory(t *testing.T) {
 	// The trajectory must have produced some scrub work to be meaningful.
 	if totA.ScrubVisits == 0 {
 		t.Error("trajectory performed no scrub visits")
+	}
+}
+
+// TestDevicesShareSamplerConcurrently pins that devices with identical
+// physics share one cached drift sampler and that patrolling them at the
+// same time reproduces each device's serial trajectory exactly. Run it
+// under -race to check the sampler really is read-only.
+func TestDevicesShareSamplerConcurrently(t *testing.T) {
+	seeds := []uint64{99, 100}
+	type trajectory struct {
+		reps []ChunkReport
+		tot  Result
+		err  error
+	}
+	want := make([]trajectory, len(seeds))
+	devs := make([]*Device, len(seeds))
+	for i, seed := range seeds {
+		want[i].reps, want[i].tot = serialTrajectory(t, deviceSpec(t, seed))
+		d, err := NewDevice(deviceSpec(t, seed))
+		if err != nil {
+			t.Fatalf("NewDevice: %v", err)
+		}
+		devs[i] = d
+	}
+	if devs[0].s.sampler != devs[1].s.sampler {
+		t.Fatal("devices with identical physics built separate drift samplers")
+	}
+
+	got := make([]trajectory, len(seeds))
+	var wg sync.WaitGroup
+	for i, d := range devs {
+		wg.Add(1)
+		go func(i int, d *Device) {
+			defer wg.Done()
+			got[i].reps, got[i].tot, got[i].err = patrolTrajectory(d)
+		}(i, d)
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		if got[i].err != nil {
+			t.Fatalf("seed %d: concurrent trajectory: %v", seed, got[i].err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("seed %d: concurrent trajectory differs from serial:\n got  %+v\n want %+v", seed, got[i], want[i])
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,8 +29,8 @@ func testWorkload() trace.Workload {
 	}
 }
 
-// testSpec mirrors the sim package's historical test configuration:
-// 256 lines under BCH-4 with the basic full-decode patrol.
+// testSpec is the small, fast test configuration: 256 lines under BCH-4
+// with the basic full-decode patrol. Tests override knobs on the copy.
 func testSpec() Spec {
 	return Spec{
 		Geometry: mem.Geometry{
@@ -90,131 +93,33 @@ func specVariants() map[string]Spec {
 	return variants
 }
 
-// TestPooledMatchesUnpooled pins the tentpole invariant: pooled scratch,
-// the shared sampler cache, and batched RNG draws change allocation
-// behaviour only — every result field is identical to a fresh-allocation
-// run. Each variant runs twice per mode so pool reuse (second iteration
-// hits recycled state) is exercised, not just pool cold start.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	pooled := &Runner{}
-	unpooled := &Runner{DisablePooling: true}
-	for name, spec := range specVariants() {
-		for round := 0; round < 2; round++ {
-			want, err := unpooled.Run(spec)
-			if err != nil {
-				t.Fatalf("%s: unpooled: %v", name, err)
-			}
-			got, err := pooled.Run(spec)
-			if err != nil {
-				t.Fatalf("%s: pooled: %v", name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s round %d: pooled result differs from unpooled:\n got  %+v\n want %+v", name, round, got, want)
-			}
+// TestPoolReuseMatchesFirstRun pins the pooling invariant: recycled
+// scratch and the shared sampler cache change allocation behaviour only.
+// Every variant runs once, then again after all the others have cycled
+// through the pool, and both results must be identical in every field.
+func TestPoolReuseMatchesFirstRun(t *testing.T) {
+	variants := specVariants()
+	names := make([]string, 0, len(variants))
+	for name := range variants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	first := map[string]*Result{}
+	for _, name := range names {
+		res, err := Run(variants[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		first[name] = res
 	}
-}
-
-// TestHooksDoNotChangeResults runs the same spec with and without full
-// instrumentation (spans + progress + round callbacks) and requires
-// identical results, plus sane span and callback contents.
-func TestHooksDoNotChangeResults(t *testing.T) {
-	spec := testSpec()
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := &SpanRecorder{}
-	var progressCalls, roundCalls int
-	var lastSim float64
-	spec.Hooks = &Hooks{
-		Progress: func(sweep int, simSeconds, horizon float64) {
-			progressCalls++
-			if simSeconds <= lastSim {
-				t.Errorf("progress went backwards: %g after %g", simSeconds, lastSim)
-			}
-			lastSim = simSeconds
-			if horizon != spec.Horizon {
-				t.Errorf("progress horizon = %g, want %g", horizon, spec.Horizon)
-			}
-		},
-		Round: func(rr RoundRecord) {
-			roundCalls++
-			if rr.Interval <= 0 {
-				t.Errorf("round record with non-positive interval: %+v", rr)
-			}
-		},
-		Spans: rec,
-	}
-	instrumented, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(instrumented, plain) {
-		t.Errorf("instrumented run differs from plain run:\n got  %+v\n want %+v", instrumented, plain)
-	}
-	if progressCalls != plain.Sweeps || roundCalls != plain.Sweeps {
-		t.Errorf("progress/round calls = %d/%d, want %d each", progressCalls, roundCalls, plain.Sweeps)
-	}
-
-	spans := map[string]Span{}
-	for _, sp := range rec.Spans() {
-		spans[sp.Stage] = sp
-	}
-	if got := spans["decode"].Count; got != plain.ScrubDecodes {
-		t.Errorf("decode span count = %d, want %d", got, plain.ScrubDecodes)
-	}
-	// BCH-4 is a real line codec, so trace mode runs one kernel decode
-	// per modelled decode.
-	if got := spans["kernel"].Count; got != plain.ScrubDecodes {
-		t.Errorf("kernel span count = %d, want %d (one kernel pass per decode)", got, plain.ScrubDecodes)
-	}
-	if got := spans["writeback"].Count; got != plain.ScrubWriteBacks {
-		t.Errorf("writeback span count = %d, want %d", got, plain.ScrubWriteBacks)
-	}
-	if got := spans["demand"].Count; got != plain.DemandWrites {
-		t.Errorf("demand span count = %d, want %d", got, plain.DemandWrites)
-	}
-	if got := spans["control"].Count; got != int64(plain.Sweeps) {
-		t.Errorf("control span count = %d, want %d", got, plain.Sweeps)
-	}
-}
-
-// TestKernelStageLightDetect pins the trace-mode kernel exercise under
-// light detection: every modelled CRC probe runs a real slicing-kernel
-// checksum and every escalated decode runs a real kernel line decode,
-// all accounted under the "kernel" stage — without changing the Result.
-func TestKernelStageLightDetect(t *testing.T) {
-	spec := testSpec()
-	spec.Scheme = ecc.MustBCHLine(8)
-	spec.Policy = scrub.LightBasic()
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &SpanRecorder{}
-	spec.Hooks = &Hooks{Spans: rec}
-	instrumented, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(instrumented, plain) {
-		t.Errorf("kernel exercise changed the result:\n got  %+v\n want %+v", instrumented, plain)
-	}
-	var kernel Span
-	for _, sp := range rec.Spans() {
-		if sp.Stage == "kernel" {
-			kernel = sp
+	for _, name := range names {
+		again, err := Run(variants[name])
+		if err != nil {
+			t.Fatalf("%s: rerun: %v", name, err)
 		}
-	}
-	want := plain.ScrubProbes + plain.ScrubDecodes
-	if kernel.Count != want {
-		t.Errorf("kernel span count = %d, want %d (probes %d + decodes %d)",
-			kernel.Count, want, plain.ScrubProbes, plain.ScrubDecodes)
-	}
-	if kernel.Count > 0 && kernel.Nanos <= 0 {
-		t.Errorf("kernel span recorded no time over %d passes", kernel.Count)
+		if !reflect.DeepEqual(again, first[name]) {
+			t.Errorf("%s: run on recycled state differs from first run:\n got  %+v\n want %+v", name, again, first[name])
+		}
 	}
 }
 
@@ -290,6 +195,27 @@ func TestCancellationVisitStride(t *testing.T) {
 	}
 }
 
+// TestErrIsCanceledUnwrapsJoins pins that cancellation is recognised
+// through wrapping and errors.Join trees alike.
+func TestErrIsCanceledUnwrapsJoins(t *testing.T) {
+	cases := []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{errors.New("boom"), false},
+		{context.Canceled, true},
+		{fmt.Errorf("engine: run canceled: %w", context.DeadlineExceeded), true},
+		{errors.Join(errors.New("shard 3 failed"), context.Canceled), true},
+		{fmt.Errorf("campaign: %w", errors.Join(errors.New("x"), context.DeadlineExceeded)), true},
+	}
+	for _, c := range cases {
+		if got := errIsCanceled(c.err); got != c.want {
+			t.Errorf("errIsCanceled(%v) = %v, want %v", c.err, got, c.want)
+		}
+	}
+}
+
 // TestCanceledRunCountsInStats pins that cancelled runs land in the
 // CanceledRuns total rather than the success counters.
 func TestCanceledRunCountsInStats(t *testing.T) {
@@ -305,28 +231,13 @@ func TestCanceledRunCountsInStats(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRun measures the pooled engine hot path; compare against
-// BenchmarkLegacySimRun for the allocation reduction the refactor claims
-// (make bench records the pair in BENCH_engine.json).
+// BenchmarkEngineRun measures the pooled engine hot path (make bench
+// records it in BENCH_engine.json).
 func BenchmarkEngineRun(b *testing.B) {
 	spec := testSpec()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLegacySimRun reproduces the pre-refactor allocation behaviour
-// (fresh scratch and a private drift sampler per run) on the identical
-// workload, as the baseline for the pooled path.
-func BenchmarkLegacySimRun(b *testing.B) {
-	spec := testSpec()
-	r := &Runner{DisablePooling: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,11 +36,10 @@ func jsonFingerprint(t *testing.T, v any) string {
 // TestOnDieDisabledByteIdentical pins the subsystem's zero-config
 // contract: a nil OnDie config and an all-zero OnDie config both produce
 // results byte-identical (full JSON encoding, every field) to a spec
-// that has never heard of on-die ECC — on the pooled and unpooled paths,
-// and across pool reuse.
+// that has never heard of on-die ECC — across pool reuse too.
 func TestOnDieDisabledByteIdentical(t *testing.T) {
 	for name, base := range specVariants() {
-		baseline, err := (&Runner{DisablePooling: true}).Run(base)
+		baseline, err := Run(base)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", name, err)
 		}
@@ -51,16 +50,14 @@ func TestOnDieDisabledByteIdentical(t *testing.T) {
 		}{{"nil", nil}, {"zero", &ondie.Config{}}} {
 			spec := base
 			spec.OnDie = mode.cfg
-			for _, r := range []*Runner{{}, {DisablePooling: true}} {
-				for round := 0; round < 2; round++ {
-					res, err := r.Run(spec)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", name, mode.label, err)
-					}
-					if got := jsonFingerprint(t, res); got != want {
-						t.Errorf("%s/%s (pooling=%v, round %d): disabled on-die ECC drifted the result:\n got  %s\n want %s",
-							name, mode.label, !r.DisablePooling, round, got, want)
-					}
+			for round := 0; round < 2; round++ {
+				res, err := Run(spec)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, mode.label, err)
+				}
+				if got := jsonFingerprint(t, res); got != want {
+					t.Errorf("%s/%s (round %d): disabled on-die ECC drifted the result:\n got  %s\n want %s",
+						name, mode.label, round, got, want)
 				}
 			}
 		}
@@ -161,37 +158,5 @@ func TestProfiledPolicyBiasesPatrol(t *testing.T) {
 	}
 	if prof.ProfileDirectBits+prof.ProfileIndirectBits == 0 {
 		t.Error("profiling separated no direct/indirect errors")
-	}
-}
-
-// TestOnDieSpanInstrumentation checks the new pipeline stage is wired
-// into the span recorder: one ondie observation per visit plus one per
-// profiling round, with results unchanged by instrumentation.
-func TestOnDieSpanInstrumentation(t *testing.T) {
-	spec := agedSpec()
-	spec.OnDie = &ondie.Config{T: 1}
-	spec.Policy = scrub.ProfiledThreshold(1)
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := &SpanRecorder{}
-	spec.Hooks = &Hooks{Spans: rec}
-	instrumented, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(instrumented, plain) {
-		t.Error("span instrumentation changed the result")
-	}
-	spans := map[string]Span{}
-	for _, sp := range rec.Spans() {
-		spans[sp.Stage] = sp
-	}
-	want := plain.ScrubVisits + plain.ProfileRounds
-	if got := spans["ondie"].Count; got != want {
-		t.Errorf("ondie span count = %d, want %d (visits %d + rounds %d)",
-			got, want, plain.ScrubVisits, plain.ProfileRounds)
 	}
 }

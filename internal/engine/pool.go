@@ -19,14 +19,11 @@ var statePool = sync.Pool{
 }
 
 // release returns the state to the pool, dropping every reference the run
-// borrowed from its Spec (scheme, policy, traffic source, hooks) so the
-// pool never pins caller objects, and dropping the result (its Rounds
-// slice now belongs to the caller). Sized scratch slices are kept — they
-// are the point of pooling.
-func (s *state) release(r *Runner) {
-	if r.DisablePooling {
-		return
-	}
+// borrowed from its Spec (scheme, policy, traffic source) so the pool
+// never pins caller objects, and dropping the result (its Rounds slice
+// now belongs to the caller). Sized scratch slices are kept — they are
+// the point of pooling.
+func (s *state) release() {
 	s.spec = Spec{}
 	s.sampler = nil
 	s.wearM = nil
@@ -38,10 +35,6 @@ func (s *state) release(r *Runner) {
 	s.inj = nil
 	s.ondie = nil
 	s.prof = nil
-	s.hooks = nil
-	s.spans = nil
-	s.kernCodec = nil // borrowed from the Spec's scheme
-	s.kernCRC = nil
 	s.res = Result{}
 	statePool.Put(s)
 }

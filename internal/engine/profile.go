@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/scrub"
 )
@@ -108,10 +107,6 @@ func (s *state) maybeProfile(t float64) {
 // tests rely on.
 func (s *state) profileRound(t float64) {
 	p := s.prof
-	var spanStart time.Time
-	if s.spans != nil {
-		spanStart = time.Now()
-	}
 	p.rounds++
 	p.reads += int64(p.cfg.Passes) * int64(s.slots)
 	// Charge the profiling reads: Passes data-word reads per line.
@@ -172,9 +167,6 @@ func (s *state) profileRound(t float64) {
 	// assignment so cooled-down lines shed on-die parity.
 	if s.ondie != nil {
 		s.ondie.Assign(s.writes[:s.slots])
-	}
-	if s.spans != nil {
-		s.spans.observe(StageOnDie, spanStart, 1)
 	}
 }
 

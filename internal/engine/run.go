@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/ecc"
 	"repro/internal/ecp"
@@ -30,8 +29,8 @@ const visitStride = 256
 // word-organised codes without depending on the concrete type.
 type secdedLike interface{ Words() int }
 
-// state is the mutable simulation state. Instances are recycled through
-// statePool (see pool.go) unless the Runner disables pooling.
+// state is the mutable simulation state. Run instances are recycled
+// through statePool (see pool.go); a Device keeps its instance for life.
 type state struct {
 	spec    Spec
 	rng     *stats.RNG
@@ -78,24 +77,6 @@ type state struct {
 	dataBits, checkBits int
 	hasCRC              bool
 
-	// hooks/spans mirror spec.Hooks for branch-cheap nil checks.
-	hooks *Hooks
-	spans *SpanRecorder
-
-	// Trace-mode codec-kernel exercise (all nil/zero outside trace runs).
-	// The reliability model itself is count-based; when spans are enabled
-	// and the scheme is backed by a real line codec, each modelled decode
-	// additionally runs the word-parallel kernel pipeline on a scratch
-	// codeword carrying the observed error count, timed under
-	// StageKernel. Deterministic (no RNG) and result-free, so an
-	// instrumented run's Result is identical to a plain run's.
-	kernCodec ecc.LineCodec
-	kernCRC   *ecc.CRC16
-	kernData  []byte // pristine 64-byte payload
-	kernOrig  []byte // pristine encoded line
-	kernBuf   []byte // per-decode scratch copy
-	kernSeq   uint64 // deterministic flip-position stream
-
 	res Result
 
 	// scratch buffers
@@ -104,10 +85,9 @@ type state struct {
 	weakBuf  []float64
 }
 
-// newState prepares a run's state, drawing scratch and the drift sampler
-// from the shared pools unless the runner disables pooling. RNG
-// consumption is identical on both paths.
-func (r *Runner) newState(spec Spec) (*state, error) {
+// newState prepares a run's state, drawing scratch from statePool and the
+// drift sampler from the shared sampler cache.
+func newState(spec Spec) (*state, error) {
 	if spec.Substeps == 0 {
 		spec.Substeps = 16
 	}
@@ -121,24 +101,9 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 			k = 16
 		}
 	}
-	var s *state
-	if r.DisablePooling {
-		s = &state{rng: stats.NewRNG(spec.Seed)}
-	} else {
-		s = statePool.Get().(*state)
-		s.rng.Seed(spec.Seed)
-	}
-	var sampler *pcm.LineSampler
-	var err error
-	if r.DisablePooling {
-		var model *pcm.Model
-		model, err = pcm.NewModel(spec.PCM)
-		if err == nil {
-			sampler, err = pcm.NewLineSampler(model, spec.Mix, pcm.CellsPerLine, k)
-		}
-	} else {
-		sampler, err = cachedSampler(spec.PCM, spec.Mix, k)
-	}
+	s := statePool.Get().(*state)
+	s.rng.Seed(spec.Seed)
+	sampler, err := cachedSampler(spec.PCM, spec.Mix, k)
 	if err != nil {
 		return nil, err
 	}
@@ -155,16 +120,11 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	if spec.Source != nil {
 		source = spec.Source
 	} else {
-		// Generator layout draws from a stream split off the main RNG;
-		// the pooled path reuses a scratch RNG for the split, consuming
-		// the same single Uint64 from the main stream as Split would.
-		gr := s.genRNG
-		if gr == nil {
-			gr = new(stats.RNG)
-			s.genRNG = gr
-		}
-		s.rng.SplitInto(gr)
-		gen, err := trace.NewGenerator(spec.Workload, lines, gr)
+		// Generator layout draws from a stream split off the main RNG into
+		// the pooled scratch RNG, consuming the same single Uint64 from the
+		// main stream as Split would.
+		s.rng.SplitInto(s.genRNG)
+		gen, err := trace.NewGenerator(spec.Workload, lines, s.genRNG)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +151,6 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	s.k = k
 	s.kw = spec.Wear.K
 	s.lev = lev
-	s.hooks = spec.Hooks
-	if s.hooks != nil {
-		s.spans = s.hooks.Spans
-	}
 
 	s.writeTime = growF64(s.writeTime, slots)
 	s.crossings = growF64(s.crossings, slots*k)
@@ -207,36 +163,6 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	s.dataBits = spec.Scheme.DataBits()
 	s.checkBits = spec.Scheme.CheckBits()
 	s.hasCRC = spec.Policy.Detection() == scrub.LightDetect
-
-	// Trace-mode kernel exercise: pre-encode one scratch line so visits
-	// can time real kernel decodes without perturbing the model.
-	s.kernCodec = nil
-	s.kernCRC = nil
-	s.kernSeq = spec.Seed
-	if s.spans != nil {
-		if lc, ok := spec.Scheme.(ecc.LineCodec); ok {
-			if cap(s.kernData) >= ecc.LineBytes {
-				s.kernData = s.kernData[:ecc.LineBytes]
-			} else {
-				s.kernData = make([]byte, ecc.LineBytes)
-			}
-			for i := range s.kernData {
-				s.kernData[i] = byte(2*i + 1)
-			}
-			if orig, err := lc.EncodeLine(s.kernData); err == nil {
-				s.kernCodec = lc
-				s.kernOrig = orig
-				if cap(s.kernBuf) >= len(orig) {
-					s.kernBuf = s.kernBuf[:len(orig)]
-				} else {
-					s.kernBuf = make([]byte, len(orig))
-				}
-			}
-		}
-		if s.hasCRC {
-			s.kernCRC = traceCRC
-		}
-	}
 
 	// Patrol order over physical slots, fixed for the run. With leveling
 	// the spare slot is appended to the walk (and the live gap is skipped
@@ -451,52 +377,6 @@ func (s *state) chargeDecode(l *energy.Ledger) {
 	}
 }
 
-// traceCRC is the CRC kernel shared by trace-mode probe exercises; built
-// once, immutable, safe for concurrent runs.
-var traceCRC = ecc.NewCRC16()
-
-// kernelProbe times one real CRC-16 probe over the scratch payload under
-// StageKernel. No-op outside trace mode.
-func (s *state) kernelProbe() {
-	if s.kernCRC == nil {
-		return
-	}
-	start := time.Now()
-	_ = s.kernCRC.Sum(s.kernData)
-	s.spans.observe(StageKernel, start, 1)
-}
-
-// kernelDecode times one real kernel line decode under StageKernel: the
-// scratch codeword gets min(observed, T) deterministic bit flips spread
-// across the line (so per-word codes see at most one per word) and runs
-// through the scheme's word-parallel DecodeLine. No-op outside trace
-// mode; draws no randomness and writes no Result fields.
-func (s *state) kernelDecode(observed int) {
-	lc := s.kernCodec
-	if lc == nil {
-		return
-	}
-	start := time.Now()
-	buf := s.kernBuf[:len(s.kernOrig)]
-	copy(buf, s.kernOrig)
-	nf := observed
-	if t := lc.T(); nf > t {
-		nf = t
-	}
-	if nf > 0 {
-		bits := lc.DataBits() + lc.CheckBits()
-		stride := bits / nf
-		s.kernSeq = s.kernSeq*6364136223846793005 + 1442695040888963407
-		off := int(s.kernSeq>>33) % stride
-		for j := 0; j < nf; j++ {
-			pos := j*stride + off
-			buf[pos>>3] ^= 1 << uint(pos&7)
-		}
-	}
-	_, _ = lc.DecodeLine(buf)
-	s.spans.observe(StageKernel, start, 1)
-}
-
 // visit performs one scrub visit of line i at time t.
 //
 // With fault injection enabled, the visit distinguishes the line's true
@@ -507,9 +387,6 @@ func (s *state) kernelDecode(observed int) {
 // while CorrectedBits keeps counting real bits so reliability metrics
 // stay truthful. When the injector is nil, observed == errBits on every
 // path and the visit is bit-identical to the baseline.
-//
-// Span instrumentation (s.spans) never touches the RNG; with spans nil
-// the extra cost is one predictable branch per section.
 func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	s.res.ScrubVisits++
 	rs.Lines++
@@ -519,73 +396,36 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		// — detection, write-back, UE decisions, corrected-bit accounting
 		// — sees only the post-on-die error count. The transform draws no
 		// randomness, so a disabled layer is byte-identical.
-		var odStart time.Time
-		if s.spans != nil {
-			odStart = time.Now()
-		}
 		errBits = s.ondie.Observe(i, errBits)
-		if s.spans != nil {
-			s.spans.observe(StageOnDie, odStart, 1)
-		}
 	}
 	observed := errBits
 	if s.inj != nil {
 		observed += s.inj.ReadFlip()
 	}
 
-	var spanStart time.Time
 	switch s.policy.Detection() {
 	case scrub.LightDetect:
-		// Read data + CRC, run the cheap probe (trace mode also times a
-		// real CRC kernel pass under StageKernel).
-		s.kernelProbe()
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
+		// Read data + CRC and run the cheap probe.
 		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+crcBits)
 		s.acct.CRCCheck(&s.res.ScrubEnergy)
 		s.res.ScrubProbes++
 		if observed == 0 {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
 			return
 		}
 		if s.rng.Bernoulli(crcMissProb) {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
 			return // checksum aliased; errors stay until next look
 		}
 		if s.inj != nil && s.inj.ProbeFalseClean() {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
 			return // injected detector fault: erroneous line reads clean
-		}
-		if s.spans != nil {
-			s.spans.observe(StageProbe, spanStart, 1)
-			spanStart = time.Now()
 		}
 		// Probe fired: fetch the check bits and decode for the count.
 		s.acct.LineRead(&s.res.ScrubEnergy, s.checkBits)
 		s.chargeDecode(&s.res.ScrubEnergy)
 		s.res.ScrubDecodes++
-		if s.spans != nil {
-			s.spans.observe(StageDecode, spanStart, 1)
-		}
-		s.kernelDecode(observed)
 	default: // FullDecode
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
 		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+s.checkBits)
 		s.chargeDecode(&s.res.ScrubEnergy)
 		s.res.ScrubDecodes++
-		if s.spans != nil {
-			s.spans.observe(StageDecode, spanStart, 1)
-		}
-		s.kernelDecode(observed)
 	}
 
 	// Stuck ECC check bits corrupt the syndromes the decoder works
@@ -610,9 +450,6 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if observed > 0 && !s.scheme.Correctable(s.rng, observed) {
 		// Uncorrectable: count the UE and repair the line so the excursion
 		// is counted exactly once.
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
 		s.res.UEs++
 		rs.UEs++
 		if s.inj != nil && observed != errBits && errBits <= capability {
@@ -624,9 +461,6 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
 		s.res.RepairWrites++
 		s.recordArrayWrite(t)
-		if s.spans != nil {
-			s.spans.observe(StageRepair, spanStart, 1)
-		}
 		return
 	}
 	// Clean lines reach here only under FullDecode (the light probe
@@ -634,18 +468,12 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	// alone, while the naive always-write patrol rewrites them too.
 	info := scrub.VisitInfo{ErrBits: observed, Capability: capability, DeadCells: int(s.deadCells[i])}
 	if s.policy.ShouldWriteBack(info) {
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
 		s.res.CorrectedBits += int64(errBits)
 		s.writeLine(i, t)
 		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
 		s.res.ScrubWriteBacks++
 		rs.WriteBacks++
 		s.recordArrayWrite(t)
-		if s.spans != nil {
-			s.spans.observe(StageWriteBack, spanStart, 1)
-		}
 	}
 }
 
@@ -677,10 +505,6 @@ func (s *state) run(ctx context.Context) error {
 				return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
 			}
 			t0 := t + float64(step)*dt
-			var spanStart time.Time
-			if s.spans != nil {
-				spanStart = time.Now()
-			}
 			// Demand writes land before this substep's visits.
 			s.eventBuf = s.source.WritesInEpoch(s.rng, t0, dt, s.eventBuf)
 			for _, line := range s.eventBuf {
@@ -689,9 +513,6 @@ func (s *state) run(ctx context.Context) error {
 				s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
 				s.res.DemandWrites++
 				s.recordArrayWrite(tw)
-			}
-			if s.spans != nil {
-				s.spans.observe(StageDemand, spanStart, int64(len(s.eventBuf)))
 			}
 			// Scrub visits for this slice of the patrol order. With
 			// leveling enabled the slot currently serving as the gap
@@ -731,26 +552,11 @@ func (s *state) run(ctx context.Context) error {
 		}
 		t += sweepDur
 		s.res.Sweeps++
-		var spanStart time.Time
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
 		if s.spec.RecordRounds {
 			s.res.Rounds = append(s.res.Rounds, RoundRecord{Start: t - sweepDur, Interval: sweepDur, Stats: rs})
 		}
 		interval = s.policy.NextInterval(interval, rs)
-		if s.spans != nil {
-			s.spans.observe(StageControl, spanStart, 1)
-		}
 		s.maybeProfile(t)
-		if s.hooks != nil {
-			if s.hooks.Round != nil {
-				s.hooks.Round(RoundRecord{Start: t - sweepDur, Interval: sweepDur, Stats: rs})
-			}
-			if s.hooks.Progress != nil {
-				s.hooks.Progress(s.res.Sweeps, t, s.spec.Horizon)
-			}
-		}
 	}
 	s.res.SimSeconds = t
 	s.res.FinalInterval = interval

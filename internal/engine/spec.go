@@ -87,10 +87,6 @@ type Spec struct {
 	// all-zero config leaves the run bit-identical to a build without
 	// the layer.
 	OnDie *ondie.Config
-	// Hooks optionally instruments the run (per-stage spans, progress and
-	// round callbacks). Hooks never touch the RNG stream, so an
-	// instrumented run's Result is identical to an uninstrumented one.
-	Hooks *Hooks
 }
 
 // TrafficSource supplies demand-write targets per epoch. Both

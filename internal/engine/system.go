@@ -92,8 +92,7 @@ type Mechanism struct {
 }
 
 // Options exposes simulator-only knobs that are not part of a Mechanism:
-// the optional substrates layered under the scrub study, plus run
-// instrumentation.
+// the optional substrates layered under the scrub study.
 type Options struct {
 	// GapMovePeriod enables Start-Gap wear leveling (0 = off).
 	GapMovePeriod uint64
@@ -107,9 +106,6 @@ type Options struct {
 	ECPEntries int
 	// RecordRounds retains per-sweep statistics in the result.
 	RecordRounds bool
-	// Hooks instruments the run (spans, progress, rounds); nil runs
-	// uninstrumented. Hooks never change results.
-	Hooks *Hooks
 }
 
 // ResolveSpec is the repository's single conversion site from the layered
@@ -139,6 +135,5 @@ func ResolveSpec(sys System, m Mechanism, w trace.Workload, o Options) Spec {
 		Source:            o.Source,
 		ECPEntries:        o.ECPEntries,
 		RecordRounds:      o.RecordRounds,
-		Hooks:             o.Hooks,
 	}
 }

@@ -1,7 +1,7 @@
 // Package scrub defines the scrub policies the study compares: what a
 // patrol visit does to a line (how errors are checked, when the line is
 // rewritten) and how the sweep interval adapts. Policies are pure decision
-// logic — the reliability simulator (internal/sim) owns state and physics
+// logic — the reliability simulator (internal/engine) owns state and physics
 // and consults a Policy at every visit.
 //
 // The design space has three orthogonal axes, mirroring the paper:

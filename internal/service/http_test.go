@@ -128,6 +128,29 @@ func TestHTTPSubmitPollResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPShortHorizonCompletes pins that a horizon below the combined
+// mechanism's default adaptive floor is served like any other job rather
+// than aborting the request.
+func TestHTTPShortHorizonCompletes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 8})
+
+	spec := tinySpec(1)
+	spec.Mechanism = "combined"
+	spec.HorizonSec = 600
+	code, sub := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status = %d, want 202", code)
+	}
+	v := pollDone(t, ts, sub.ID)
+	var res Result
+	if err := json.Unmarshal(v.Result, &res); err != nil {
+		t.Fatalf("result payload: %v", err)
+	}
+	if len(res.Runs) != 1 || res.Runs[0].ScrubVisits == 0 {
+		t.Errorf("short-horizon run looks empty: %+v", res.Runs)
+	}
+}
+
 // TestHTTPCancelRunningJob covers the acceptance property: DELETE on a
 // running job returns it in state cancelled, and the daemon stays up.
 func TestHTTPCancelRunningJob(t *testing.T) {

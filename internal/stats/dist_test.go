@@ -64,6 +64,32 @@ func TestStdNormalQuantileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStdNormalQuantileRoundTripRelative is the quantile's accuracy
+// contract: Φ(Φ⁻¹(p)) returns p to within a relative error that grows
+// only with the round trip's conditioning. Near the quantile x a relative
+// error δ in x moves Φ by a relative (1+x²)·δ, so the bound is a few ulps
+// scaled by 1+x², from p = 1e-300 (x ≈ −37) to p = 1−1e-12.
+func TestStdNormalQuantileRoundTripRelative(t *testing.T) {
+	const ulps = 16
+	var ps []float64
+	for i := 0; i <= 3000; i++ { // log-spaced lower half
+		ps = append(ps, math.Pow(10, -300+float64(i)*(300-math.Log10(2))/3000))
+	}
+	for i := 1; i < 1000; i++ { // linear body
+		ps = append(ps, float64(i)/1000)
+	}
+	for i := 0; i <= 1000; i++ { // log-spaced upper half, 1−p down to 1e-12
+		ps = append(ps, 1-math.Pow(10, -12+float64(i)*(12-math.Log10(2))/1000))
+	}
+	for _, p := range ps {
+		x := StdNormalQuantile(p)
+		bound := ulps * 0x1p-52 * (1 + x*x) * p
+		if err := math.Abs(StdNormalCDF(x) - p); !(err <= bound) {
+			t.Fatalf("Φ(Φ⁻¹(%g)) = %g: error %.3g exceeds %.3g", p, StdNormalCDF(x), err, bound)
+		}
+	}
+}
+
 func TestStdNormalQuantilePanics(t *testing.T) {
 	for _, p := range []float64{0, 1, -0.5, 1.5} {
 		func() {

@@ -55,6 +55,16 @@ func KSCritical(n, m int, alpha float64) float64 {
 	return c * math.Sqrt(float64(n+m)/float64(n*m))
 }
 
+// KSCriticalOneSample returns the approximate critical value of the
+// one-sample KS statistic over n draws at significance alpha (two-sided,
+// large-sample formula): c(α)/sqrt(n), the m → ∞ limit of KSCritical.
+func KSCriticalOneSample(n int, alpha float64) float64 {
+	if n < 1 {
+		return math.NaN()
+	}
+	return math.Sqrt(-math.Log(alpha/2)/2) / math.Sqrt(float64(n))
+}
+
 // KSAgainstCDF returns the one-sample KS statistic of xs against the
 // continuous reference CDF.
 func KSAgainstCDF(xs []float64, cdf func(float64) float64) float64 {

@@ -110,3 +110,18 @@ func TestKSAgainstCDFDetectsMismatch(t *testing.T) {
 		t.Errorf("mismatched CDF KS %.4f suspiciously small", d)
 	}
 }
+
+func TestKSCriticalOneSampleIsTwoSampleLimit(t *testing.T) {
+	if !math.IsNaN(KSCriticalOneSample(0, 0.001)) {
+		t.Error("n=0 should give NaN")
+	}
+	// 1.9495/sqrt(n) at alpha=0.001.
+	if got := KSCriticalOneSample(200000, 0.001); math.Abs(got-0.004359) > 1e-6 {
+		t.Errorf("one-sample critical at n=2e5: %.6f, want 0.004359", got)
+	}
+	one := KSCriticalOneSample(1000, 0.01)
+	two := KSCritical(1000, 1<<40, 0.01)
+	if math.Abs(one-two) > 1e-9 {
+		t.Errorf("one-sample %.9f is not the two-sample limit %.9f", one, two)
+	}
+}

@@ -87,6 +87,42 @@ func TestSampleWeakestMatchesBruteForceMinimum(t *testing.T) {
 	}
 }
 
+// TestSampleWeakestOrderStatisticsKS is the endurance sampler's
+// statistical contract: at a fixed seed and sample size, the j-th weakest
+// endurance of a line must follow the exact order-statistic law
+// P(W_(j) <= w) = P(Binomial(n, F(w)) >= j), F the lognormal CDF, under
+// a one-sample KS test at α = 0.001 for j ∈ {1, 4, 12}.
+func TestSampleWeakestOrderStatisticsKS(t *testing.T) {
+	const (
+		lines = 20000
+		alpha = 0.001
+	)
+	p := DefaultParams()
+	m := MustModel(p)
+	r := stats.NewRNG(2024)
+	orders := []int{1, 4, 12}
+	samples := make([][]float64, len(orders))
+	var buf []float64
+	for i := 0; i < lines; i++ {
+		buf = m.SampleWeakest(r, buf)
+		for o, j := range orders {
+			samples[o] = append(samples[o], buf[j-1])
+		}
+	}
+	for o, j := range orders {
+		cdf := func(w float64) float64 {
+			f := stats.StdNormalCDF((math.Log10(w) - p.MeanLog10Writes) / p.SigmaLog10)
+			return stats.BinomialTailGE(p.CellsPerLine, j, f)
+		}
+		d := stats.KSAgainstCDF(samples[o], cdf)
+		crit := stats.KSCriticalOneSample(lines, alpha)
+		t.Logf("j=%d: D=%.5f, critical %.5f", j, d, crit)
+		if d > crit {
+			t.Errorf("order statistic j=%d: KS D=%.5f exceeds critical %.5f", j, d, crit)
+		}
+	}
+}
+
 func TestDeadCells(t *testing.T) {
 	weakest := []float64{100, 200, 300}
 	cases := []struct {

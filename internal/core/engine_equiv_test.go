@@ -43,10 +43,13 @@ func resultFingerprint(t *testing.T, v any) string {
 // suite, the SHA-256 of the full result JSON as produced by the
 // pre-refactor sim loop (captured at the commit that introduced
 // internal/engine). The engine-backed pipeline must reproduce each run
-// byte-identically.
+// byte-identically. "basic" was re-pinned when the crossing sampler moved
+// to the exponential-spacings grid: its UE detection-delay moments shift
+// in the sixth significant digit, every count holds (DESIGN.md,
+// "Re-pinning goldens").
 func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 	want := map[string]string{
-		"basic":        "3d93eeb5e871e877ab2f52bb49f940949dd8ae1752230cf213226058c34fe619",
+		"basic":        "f339f17e9470dc1d3cb61baa817d10181015ad7ca0c8db8d667ecb327248c8ee",
 		"strong-ecc":   "ab62147dce8bd1c7969dadbf049265a94803760218a56734f5beecbccb26221d",
 		"light-detect": "660f86e4de2e74de58578d7c0ed7b7db4fcd768a4f644775a7b3ac825e12d84a",
 		"threshold":    "c65ed545f264c0bd973e6f6378282c81f5fa3354376940259d30c277695bb7bc",

@@ -15,8 +15,7 @@ import (
 // invertProb maps a target crossing probability to the sampler's
 // crossing time through the level's inverse-CDF grid.
 func invertProb(ls *levelSampler, p float64) float64 {
-	t, _ := ls.invertT(p, 0)
-	return t
+	return ls.timeAt(-math.Log1p(-p))
 }
 
 // TestCrossingTimesMatchAnalyticCDF draws at least 2e5 crossing times per
@@ -103,7 +102,7 @@ func TestInversionStaysInBracketingCell(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("level %d: pmax=%.4g, %d interior targets checked", level, ls.pmax, checked)
+		t.Logf("level %d: pmax=%.4g, %d interior targets checked", level, ps[samplerGridPoints], checked)
 		if checked < samplerGridPoints {
 			t.Errorf("level %d: only %d interior targets; the sweep lost its coverage", level, checked)
 		}

@@ -13,82 +13,88 @@ import (
 // of scrub intervals.
 const samplerGridPoints = 4096
 
-// levelSampler inverts one level's crossing-time CDF via precomputed
-// monotone grids over drift decades: pGrid holds the CDF, tGrid the
-// corresponding times in seconds, so a sample is a binary search plus a
-// linear interpolation — no transcendental calls on the hot path.
+// levelSampler inverts one level's crossing-time CDF in the
+// exponential-spacings domain s = −ln(1−p), where the Rényi construction
+// in SampleCrossings produces its order statistics. sGrid holds the CDF
+// over a log-time grid mapped into that domain, tGrid the grid's times,
+// and index buckets [0, smax) so any s is bracketed by two grid points
+// without a search over the whole grid. A draw is an index lookup, a
+// short bisection and a linear interpolation — no transcendental call.
 type levelSampler struct {
-	pGrid []float64 // pGrid[i] = P(crossed by x_i), non-decreasing
+	sGrid []float64 // sGrid[i] = −ln(1 − P(crossed by x_i)), non-decreasing
 	tGrid []float64 // tGrid[i] = t0·10^(x_i), seconds
-	dx    float64
-	pmax  float64
+	// index[b] is the first grid point whose bucket is >= b; bucket b
+	// covers s in [b, b+1)/perS.
+	index []int32
+	perS  float64 // buckets per unit of s
+	smax  float64 // sGrid's last value: a spacing sum reaching it never crosses
 }
+
+// pCap keeps a grid probability that rounds to 1 at a finite s
+// (−ln 2^-53 ≈ 36.7): no spacing sum of realistic size reaches it.
+const pCap = 1 - 0x1p-53
 
 func newLevelSampler(m *Model, level int) *levelSampler {
 	ls := &levelSampler{
-		pGrid: make([]float64, samplerGridPoints+1),
+		sGrid: make([]float64, samplerGridPoints+1),
 		tGrid: make([]float64, samplerGridPoints+1),
-		dx:    m.p.MaxLog10Time / samplerGridPoints,
+		index: make([]int32, samplerGridPoints+1),
 	}
+	dx := m.p.MaxLog10Time / samplerGridPoints
 	prev := 0.0
 	for i := 0; i <= samplerGridPoints; i++ {
-		x := float64(i) * ls.dx
-		p := m.ErrProbAtX(level, x)
+		x := float64(i) * dx
 		// The analytic curve is monotone; enforce it against float jitter.
-		if p < prev {
-			p = prev
-		}
-		ls.pGrid[i] = p
+		p := math.Min(math.Max(m.ErrProbAtX(level, x), prev), pCap)
+		ls.sGrid[i] = -math.Log1p(-p)
 		ls.tGrid[i] = m.TimeOf(x)
 		prev = p
 	}
-	ls.pmax = ls.pGrid[samplerGridPoints]
+	ls.smax = ls.sGrid[samplerGridPoints]
+	if ls.smax > 0 {
+		ls.perS = samplerGridPoints / ls.smax
+	}
+	i := 0
+	for b := range ls.index {
+		for i <= samplerGridPoints && ls.bucket(ls.sGrid[i]) < b {
+			i++
+		}
+		ls.index[b] = int32(i)
+	}
 	return ls
 }
 
-// invertT maps a CDF value u in [0, pmax] to a crossing time in seconds by
-// search + linear interpolation, and returns the grid index it landed on.
-// Callers sampling ascending u values pass the previous index as hint so
-// the search gallops forward from there instead of bisecting the whole
-// grid. Within one grid cell (0.0024 decades) the time curve is within
-// 0.6 % of linear.
-func (ls *levelSampler) invertT(u float64, hint int) (float64, int) {
-	if u <= ls.pGrid[0] {
-		return ls.tGrid[0], 0
+// bucket returns the index bucket holding s. It is monotone in s, which
+// is all the bracketing in timeAt relies on.
+func (ls *levelSampler) bucket(s float64) int {
+	return min(int(s*ls.perS), samplerGridPoints-1)
+}
+
+// timeAt maps a spacing sum s < smax to a crossing time in seconds. Grid
+// points in buckets below s's lie below s and those in buckets above lie
+// above it, so s's bucket brackets it between index entries; with one
+// bucket per grid cell the bisection inside takes O(1) expected steps.
+// The time is then interpolated linearly in s across the cell, within
+// which (0.0024 decades) the time curve is within 0.6 % of linear.
+func (ls *levelSampler) timeAt(s float64) float64 {
+	if s <= ls.sGrid[0] {
+		return ls.tGrid[0]
 	}
-	n := len(ls.pGrid) - 1
-	lo := hint
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > n || ls.pGrid[lo] >= u {
-		lo = 0
-	}
-	// Gallop forward to bracket u, then bisect inside the bracket.
-	step := 1
-	hi := lo + step
-	for hi < n && ls.pGrid[hi] < u {
-		lo = hi
-		step *= 2
-		hi = lo + step
-	}
-	if hi > n {
-		hi = n
-	}
+	b := ls.bucket(s)
+	// Invariant: sGrid[lo] < s <= sGrid[hi].
+	lo := max(int(ls.index[b])-1, 0)
+	hi := min(int(ls.index[b+1]), samplerGridPoints)
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if ls.pGrid[mid] < u {
+		if ls.sGrid[mid] < s {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	pl, ph := ls.pGrid[lo], ls.pGrid[hi]
-	frac := 0.0
-	if ph > pl {
-		frac = (u - pl) / (ph - pl)
-	}
-	return ls.tGrid[lo] + frac*(ls.tGrid[hi]-ls.tGrid[lo]), lo
+	sl, sh := ls.sGrid[lo], ls.sGrid[hi]
+	tl := ls.tGrid[lo]
+	return tl + (s-sl)/(sh-sl)*(ls.tGrid[hi]-tl)
 }
 
 // LineSampler draws, for a freshly written line, the earliest error
@@ -106,8 +112,10 @@ type LineSampler struct {
 	mix    LevelMix
 	ncells int
 	k      int
+	// levels holds an inverse-CDF grid for each active level, nil for
+	// the rest; active lists the levels with a non-zero crossing
+	// probability present in the mix.
 	levels [Levels]*levelSampler
-	// active lists levels with a non-zero crossing probability.
 	active []int
 	// pool holds presampled multinomial level-count vectors ("data
 	// patterns"). Each line write draws one uniformly, so the per-write
@@ -134,9 +142,11 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 	}
 	s := &LineSampler{model: m, mix: mix, ncells: ncells, k: k}
 	for level := 0; level < Levels; level++ {
-		ls := newLevelSampler(m, level)
-		s.levels[level] = ls
-		if ls.pmax > 0 && mix[level] > 0 {
+		if mix[level] == 0 {
+			continue
+		}
+		if ls := newLevelSampler(m, level); ls.smax > 0 {
+			s.levels[level] = ls
 			s.active = append(s.active, level)
 		}
 	}
@@ -198,20 +208,17 @@ func (s *LineSampler) SampleCrossings(r *stats.RNG, out []float64) []float64 {
 			continue
 		}
 		ls := s.levels[level]
-		// Rényi: ascending uniform order statistics via exponential spacings.
+		// Rényi: the ascending order statistics of n uniforms are
+		// 1 − exp(−S_j) for the partial sums S_j of exponential spacings
+		// E/(n−j). The grid lives in that s domain, so each sum is tested
+		// against the horizon and inverted without leaving it.
 		sum := 0.0
-		taken := 0
-		hint := 0
-		for j := 0; j < n && taken < s.k; j++ {
+		for j := 0; j < n && j < s.k; j++ {
 			sum += r.Exponential(1) / float64(n-j)
-			u := -math.Expm1(-sum) // 1 - exp(-sum), stable for small sum
-			if u >= ls.pmax {
+			if sum >= ls.smax {
 				break
 			}
-			var ct float64
-			ct, hint = ls.invertT(u, hint)
-			out = append(out, ct)
-			taken++
+			out = append(out, ls.timeAt(sum))
 		}
 	}
 	// Insertion sort: out holds at most a few × k ≤ 48 entries and each

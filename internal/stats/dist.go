@@ -22,46 +22,59 @@ func QFunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
-// StdNormalQuantile returns Φ⁻¹(p) using the Acklam/Wichura-style rational
-// approximation refined with one Halley step; absolute error < 1e-9 across
-// (0, 1). It panics for p outside (0, 1).
+// StdNormalQuantile returns Φ⁻¹(p) by Wichura's algorithm AS241
+// (PPND16): a single rational approximation per region — the body
+// |p−0.5| <= 0.425, then two tail regions in r = sqrt(−ln min(p, 1−p))
+// — with relative error about 1e-16 and no call to erfc or exp. It
+// panics for p outside (0, 1).
 func StdNormalQuantile(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		panic("stats: StdNormalQuantile requires p in (0,1)")
 	}
-	// Coefficients from Peter Acklam's inverse-normal approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow = 0.02425
-	var x float64
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+	q := p - 0.5
+	if math.Abs(q) <= 0.425 {
+		r := 0.180625 - q*q
+		return q * (((((((2.5090809287301226727e3*r+3.3430575583588128105e4)*r+
+			6.7265770927008700853e4)*r+4.5921953931549871457e4)*r+
+			1.3731693765509461125e4)*r+1.9715909503065514427e3)*r+
+			1.3314166789178437745e2)*r + 3.3871328727963666080e0) /
+			(((((((5.2264952788528545610e3*r+2.8729085735721942674e4)*r+
+				3.9307895800092710610e4)*r+2.1213794301586595867e4)*r+
+				5.3941960214247511077e3)*r+6.8718700749205790830e2)*r+
+				4.2313330701600911252e1)*r + 1)
 	}
-	// One Halley refinement step.
-	e := StdNormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	// 1−p is exact for p > 0.5, so the upper tail keeps full relative
+	// precision in 1−p.
+	r := p
+	if q > 0 {
+		r = 1 - p
+	}
+	r = math.Sqrt(-math.Log(r))
+	var x float64
+	if r <= 5 {
+		r -= 1.6
+		x = (((((((7.74545014278341407640e-4*r+2.27238449892691845833e-2)*r+
+			2.41780725177450611770e-1)*r+1.27045825245236838258e0)*r+
+			3.64784832476320460504e0)*r+5.76949722146069140550e0)*r+
+			4.63033784615654529590e0)*r + 1.42343711074968357734e0) /
+			(((((((1.05075007164441684324e-9*r+5.47593808499534494600e-4)*r+
+				1.51986665636164571966e-2)*r+1.48103976427480074590e-1)*r+
+				6.89767334985100004550e-1)*r+1.67638483018380384940e0)*r+
+				2.05319162663775882187e0)*r + 1)
+	} else {
+		r -= 5
+		x = (((((((2.01033439929228813265e-7*r+2.71155556874348757815e-5)*r+
+			1.24266094738807843860e-3)*r+2.65321895265761230930e-2)*r+
+			2.96560571828504891230e-1)*r+1.78482653991729133580e0)*r+
+			5.46378491116411436990e0)*r + 6.65790464350110377720e0) /
+			(((((((2.04426310338993978564e-15*r+1.42151175831644588870e-7)*r+
+				1.84631831751005468180e-5)*r+7.86869131145613259100e-4)*r+
+				1.48753612908506148525e-2)*r+1.36929880922735805310e-1)*r+
+				5.99832206555887937690e-1)*r + 1)
+	}
+	if q < 0 {
+		return -x
+	}
 	return x
 }
 

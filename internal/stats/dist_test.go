@@ -90,6 +90,24 @@ func TestStdNormalQuantileRoundTripRelative(t *testing.T) {
 	}
 }
 
+// TestStdNormalQuantileUpperTail holds the upper tail to the same
+// conditioning-scaled relative bound, measured on 1−p: Q(Φ⁻¹(p)) must
+// return 1−p, which a quantile refined through Φ(x)−p cannot resolve once
+// 1−p nears the float spacing of p.
+func TestStdNormalQuantileUpperTail(t *testing.T) {
+	const ulps = 16
+	for i := 0; i <= 1000; i++ {
+		q := math.Pow(10, -15+float64(i)*(15-math.Log10(2))/1000)
+		p := 1 - q
+		q = 1 - p // the tail the float p actually carries
+		x := StdNormalQuantile(p)
+		bound := ulps * 0x1p-52 * (1 + x*x) * q
+		if err := math.Abs(QFunc(x) - q); !(err <= bound) {
+			t.Fatalf("Q(Φ⁻¹(1−%g)) = %g: error %.3g exceeds %.3g", q, QFunc(x), err, bound)
+		}
+	}
+}
+
 func TestStdNormalQuantilePanics(t *testing.T) {
 	for _, p := range []float64{0, 1, -0.5, 1.5} {
 		func() {
@@ -238,5 +256,22 @@ func TestZipfProbOutOfRange(t *testing.T) {
 	z := NewZipf(4, 1)
 	if z.Prob(-1) != 0 || z.Prob(4) != 0 {
 		t.Error("out-of-range Prob should be 0")
+	}
+}
+
+func BenchmarkStdNormalQuantile(b *testing.B) {
+	// Spread the arguments over the lower tail and the body, the range the
+	// endurance sampler's order statistics visit.
+	var ps [1024]float64
+	for i := range ps {
+		ps[i] = math.Pow(10, -6*float64(i)/float64(len(ps))) * 0.5
+	}
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		sink += StdNormalQuantile(ps[i&(len(ps)-1)])
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN quantile")
 	}
 }

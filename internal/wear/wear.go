@@ -102,9 +102,9 @@ func (m *Model) SampleWeakest(r *stats.RNG, out []float64) []float64 {
 		// Exponential(1) spacing from the batched uniform.
 		sum += -math.Log(1-out[j]) / float64(n-j)
 		u := -math.Expm1(-sum)
-		// Lognormal quantile: 10^(mean + sigma·Φ⁻¹(u)).
+		// Lognormal quantile: 10^(mean + sigma·Φ⁻¹(u)), as exp(q·ln 10).
 		q := m.p.MeanLog10Writes + m.p.SigmaLog10*stats.StdNormalQuantile(u)
-		out[j] = math.Pow(10, q)
+		out[j] = math.Exp(q * math.Ln10)
 	}
 	return out
 }

@@ -203,3 +203,13 @@ func TestLifetimeWritesMonotoneInBudget(t *testing.T) {
 		t.Error("budget 0 should clamp to 1")
 	}
 }
+
+func BenchmarkSampleWeakest(b *testing.B) {
+	m := MustModel(DefaultParams())
+	r := stats.NewRNG(95)
+	var buf []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.SampleWeakest(r, buf)
+	}
+}

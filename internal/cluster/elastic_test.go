@@ -139,18 +139,28 @@ func TestAcquireRankedFollowsRing(t *testing.T) {
 // handler server, the parked member's ID, and a channel carrying Run's
 // outcome. Callers must eventually complete the campaign (by stealing)
 // or release the member's slot.
+//
+// Each URL in alsoParked joins and is parked the same way before the
+// campaign starts, so its dispatcher can never pick that member either;
+// the caller owns those slots.
 type runOutcome struct {
 	res *service.Result
 	err error
 }
 
-func parkedCampaign(t *testing.T, spec service.Spec) (*Coordinator, *httptest.Server, string, chan runOutcome) {
+func parkedCampaign(t *testing.T, spec service.Spec, alsoParked ...string) (*Coordinator, *httptest.Server, string, chan runOutcome) {
 	t.Helper()
 	ms := NewMembership(1)
-	m := mustJoin(t, ms, "http://127.0.0.1:1") // never dialed: its one slot is held below
-	id, _, err := ms.acquire(context.Background(), nil)
-	if err != nil || id != m.ID {
-		t.Fatalf("failed to park the only worker: %q, %v", id, err)
+	var parked string
+	for _, u := range append([]string{"http://127.0.0.1:1"}, alsoParked...) {
+		m := mustJoin(t, ms, u) // never dialed: its one slot is held here
+		id, _, err := ms.acquire(context.Background(), nil)
+		if err != nil || id != m.ID {
+			t.Fatalf("failed to park worker %s: %q, %v", u, id, err)
+		}
+		if parked == "" {
+			parked = m.ID
+		}
 	}
 	c := NewCoordinator(Config{Members: ms, DisableSpeculation: true})
 	srv := httptest.NewServer(c.Handler())
@@ -167,13 +177,25 @@ func parkedCampaign(t *testing.T, spec service.Spec) (*Coordinator, *httptest.Se
 		n := len(c.boards)
 		c.boardMu.Unlock()
 		if n > 0 {
-			return c, srv, m.ID, out
+			return c, srv, parked, out
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("campaign board never registered")
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// memberByURL returns the membership's view of the member at url.
+func memberByURL(t *testing.T, ms *Membership, url string) Member {
+	t.Helper()
+	for _, m := range ms.List() {
+		if m.URL == url {
+			return m
+		}
+	}
+	t.Fatalf("no member at %s", url)
+	return Member{}
 }
 
 // stealAll drains a coordinator's stealable shards through the real
@@ -254,11 +276,15 @@ func TestStealSurvivesTTLEvictionMidClaim(t *testing.T) {
 	spec := tinySpec(t, 4)
 	want := standaloneJSON(t, spec)
 
-	c, srv, parkedID, out := parkedCampaign(t, spec)
+	// The thief is a registered member (it joined like any worker). It
+	// joins parked, before the campaign starts: a free thief would be
+	// picked by the campaign's waiting dispatcher, which then holds an
+	// in-flight slot on it while dialing its unreachable URL, and the
+	// eviction below would rightly spare it.
+	const thiefURL = "http://10.8.8.8:1"
+	c, srv, parkedID, out := parkedCampaign(t, spec, thiefURL)
 	ms := c.ms
-
-	// The thief is a registered member (it joined like any worker).
-	thiefMember := mustJoin(t, ms, "http://10.8.8.8:1")
+	thiefMember := memberByURL(t, ms, thiefURL)
 	thief := NewWorker(2)
 
 	// Claim every stealable shard, executing but NOT delivering yet.
@@ -269,7 +295,7 @@ func TestStealSurvivesTTLEvictionMidClaim(t *testing.T) {
 	}
 	var claims []held
 	for {
-		req, token, err := StealOnce(ctx, srv.Client(), srv.URL, "http://10.8.8.8:1")
+		req, token, err := StealOnce(ctx, srv.Client(), srv.URL, thiefURL)
 		if err != nil {
 			t.Fatalf("StealOnce: %v", err)
 		}
@@ -286,14 +312,19 @@ func TestStealSurvivesTTLEvictionMidClaim(t *testing.T) {
 		t.Fatal("nothing was stealable")
 	}
 
-	// Evict the thief mid-claim: dead + past TTL. Steals hold no
-	// membership in-flight slot, so the eviction is not deferred.
+	// Evict the thief mid-claim: dead + past TTL. Marking it dead before
+	// freeing its parking slot keeps the dispatcher off it, and steals
+	// hold no membership in-flight slot, so the eviction is not deferred.
 	ms.markDead(thiefMember.ID)
+	ms.release(thiefMember.ID)
+	if m := memberByURL(t, ms, thiefURL); m.Alive || m.InFlight != 0 {
+		t.Fatalf("thief before eviction: %+v, want dead with nothing in flight", m)
+	}
+	base := time.Now()
 	ms.mu.Lock()
 	ms.cfg.WorkerTTL = time.Minute
-	ms.mu.Unlock()
-	base := time.Now()
 	ms.now = func() time.Time { return base.Add(time.Hour) }
+	ms.mu.Unlock()
 	ms.evictExpired()
 	found := false
 	for _, m := range ms.List() {

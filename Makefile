@@ -47,15 +47,17 @@ lint: vet
 	fi
 
 # bench refreshes the committed engine perf baseline: run the hot-loop
-# engine benchmark plus the per-codec kernel/reference pairs with
-# -benchmem and render them as BENCH_engine.json via cmd/benchjson. The
-# codecs block carries the kernel-vs-scalar speedup per codec, which
-# bench-gate (and CI) holds to its floors.
+# engine benchmark, the per-layer physics sampler benchmarks it is made
+# of (crossing times, weakest endurances, the normal quantile under the
+# latter) and the per-codec kernel/reference pairs with -benchmem, and
+# render them as BENCH_engine.json via cmd/benchjson. The codecs block
+# carries the kernel-vs-scalar speedup per codec, which bench-gate (and
+# CI) holds to its floors.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
+		-bench 'BenchmarkEngineRun|BenchmarkSampleCrossings|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
 		-benchmem -benchtime 2s -count 1 \
-		./internal/engine ./internal/ecc ./internal/ondie | tee /dev/stderr | \
+		./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/ecc ./internal/ondie | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "bench: wrote BENCH_engine.json"
 

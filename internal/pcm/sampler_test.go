@@ -190,6 +190,38 @@ func TestSampleCrossingsSaturation(t *testing.T) {
 	}
 }
 
+func TestSampleCrossingsCertainLevel(t *testing.T) {
+	// A drift exponent far past the margin makes the crossing probability
+	// round to exactly 1 well before the horizon. The grid must keep a
+	// finite top, and every cell of such a level crosses in time.
+	p := DefaultParams()
+	p.NuMean[2], p.NuSigma[2] = 0.5, 0.05
+	m := MustModel(p)
+	if got := m.ErrProbAtX(2, p.MaxLog10Time); got != 1 {
+		t.Fatalf("test premise: level-2 crossing probability at the horizon is %v, want 1", got)
+	}
+	const ncells = 256
+	s, err := NewLineSampler(m, LevelMix{0, 0, 1, 0}, ncells, ncells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smax := s.levels[2].smax; math.IsInf(smax, 0) || math.IsNaN(smax) {
+		t.Fatalf("grid top s = %v, want finite", smax)
+	}
+	horizon := m.TimeOf(p.MaxLog10Time)
+	r := stats.NewRNG(97)
+	var buf []float64
+	for trial := 0; trial < 50; trial++ {
+		buf = s.SampleCrossings(r, buf)
+		if len(buf) != ncells {
+			t.Fatalf("%d of %d certain cells crossed", len(buf), ncells)
+		}
+		if last := buf[len(buf)-1]; !(last <= horizon) {
+			t.Fatalf("latest crossing %g past the horizon %g", last, horizon)
+		}
+	}
+}
+
 func TestSamplerReusesBuffer(t *testing.T) {
 	m := MustModel(DefaultParams())
 	s, _ := NewLineSampler(m, UniformMix(), 256, 12)

@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet test race fuzz check lint bench bench-gate experiments serve smoke-serve smoke-cluster smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
+.PHONY: all build vet test race fuzz check lint loc bench bench-gate experiments serve smoke-serve smoke-cluster smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
 
 all: check
 
@@ -45,6 +45,11 @@ lint: vet
 	else \
 		echo "lint: staticcheck not installed; skipping"; \
 	fi
+
+# loc prints the root module's non-test Go line count (bench/ is its own
+# module and is not counted).
+loc:
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # bench refreshes the committed engine perf baseline: run the hot-loop
 # engine benchmark, the per-layer physics sampler benchmarks it is made
@@ -162,7 +167,7 @@ smoke-cluster-elastic:
 	dir=$$(mktemp -d); log=$$dir/coord.log; \
 	$(GO) build -o $$dir/scrubd ./cmd/scrubd; \
 	$(GO) build -o $$dir/chaosproxy ./cmd/chaosproxy; \
-	$$dir/scrubd -addr 127.0.0.1:0 -role coordinator -heartbeat 250ms -speculate-after 500ms >$$log 2>&1 & cpid=$$!; \
+	$$dir/scrubd -addr 127.0.0.1:0 -role coordinator -heartbeat 250ms >$$log 2>&1 & cpid=$$!; \
 	trap 'kill -9 $$cpid $$w1 $$w2 $$w3 $$ppid $$clpid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 50); do grep -q 'listening on' $$log && break; sleep 0.1; done; \
 	base=$$(sed -n 's/^scrubd: listening on \(.*\)$$/\1/p' $$log); \

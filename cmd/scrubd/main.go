@@ -9,10 +9,9 @@
 //	scrubd [-addr host:port] [-queue N] [-workers N] [-cache N] [-drain D]
 //	       [-role standalone|coordinator|worker] [-join URL] [-advertise URL]
 //	       [-heartbeat D] [-shard-inflight N] [-journal-dir DIR] [-worker-ttl D]
-//	       [-steal-interval D] [-gossip-interval D] [-speculate-factor F]
-//	       [-speculate-after D] [-no-speculation] [-fleet] [-max-body-bytes N]
-//	       [-max-batch-specs N] [-tenant-rate R] [-tenant-burst N] [-aging D] [-shed-batch-pct F]
-//	       [-shed-normal-pct F] [-shed-interactive-pct F] [-shed-off] [-version]
+//	       [-fleet] [-max-body-bytes N] [-max-batch-specs N] [-tenant-rate R]
+//	       [-tenant-burst N] [-aging D] [-shed-batch-pct F] [-shed-normal-pct F]
+//	       [-shed-interactive-pct F] [-shed-off] [-version]
 //
 // Endpoints:
 //
@@ -45,11 +44,13 @@
 // Roles: a standalone node executes jobs itself; a coordinator places
 // each job's replica shards on joined workers by consistent hashing
 // (falling back to local execution when none are live), heartbeats
-// their /healthz, gossips the fleet's result-cache indexes, and
-// speculatively re-dispatches stragglers; a worker joins a coordinator
-// with -join, executes pushed shards bounded by -shard-inflight, and
-// steals queued shards whenever it has a free slot. Every role serves
-// the ordinary jobs API and the cache-gossip endpoints.
+// their /healthz, sweeps the fleet's result-cache indexes every 2 s, and
+// speculatively re-dispatches stragglers (a shard running 1.5× the
+// median shard duration, and at least 2 s); a worker joins a
+// coordinator with -join, executes pushed shards bounded by
+// -shard-inflight, and polls every second to steal queued shards
+// whenever it has a free slot. Every role serves the ordinary jobs API
+// and the cache-gossip endpoints.
 //
 // With -journal-dir the daemon keeps a write-ahead job journal there:
 // every accepted job is durable before it is acknowledged, and on
@@ -139,17 +140,6 @@ type options struct {
 	// workerTTL evicts dead workers not seen for this long (coordinator
 	// role; 0 = never evict).
 	workerTTL time.Duration
-	// stealInterval is how often an idle worker polls the coordinator
-	// for stealable shards (worker role; 0 = 1s, negative disables).
-	stealInterval time.Duration
-	// gossipInterval is how often the coordinator sweeps the fleet's
-	// cache indexes (coordinator role; 0 = 2s, negative disables).
-	gossipInterval time.Duration
-	// speculateFactor and speculateAfter shape straggler re-execution
-	// (coordinator role; 0 = defaults); disableSpeculation turns it off.
-	speculateFactor    float64
-	speculateAfter     time.Duration
-	disableSpeculation bool
 
 	// onReady, when non-nil, receives the resolved listen address (tests
 	// boot on :0 and need the real port).
@@ -172,11 +162,6 @@ func run() error {
 		inflight = flag.Int("shard-inflight", 0, "concurrent shard bound (0 = role default)")
 		jdir     = flag.String("journal-dir", "", "write-ahead job journal directory (empty = no journal)")
 		wttl     = flag.Duration("worker-ttl", 0, "evict dead workers not seen for this long (coordinator role; 0 = never)")
-		steal    = flag.Duration("steal-interval", 0, "idle-worker steal poll interval (worker role; 0 = 1s, negative = off)")
-		gossip   = flag.Duration("gossip-interval", 0, "cache-index gossip sweep interval (coordinator role; 0 = 2s, negative = off)")
-		specF    = flag.Float64("speculate-factor", 0, "speculate a shard past this multiple of the median shard duration (coordinator role; 0 = default)")
-		specA    = flag.Duration("speculate-after", 0, "minimum shard age before speculation (coordinator role; 0 = default)")
-		noSpec   = flag.Bool("no-speculation", false, "disable speculative re-execution of stragglers (coordinator role)")
 		fleetOn  = flag.Bool("fleet", false, "enable the fleet scrub-control plane under /v1/fleet/")
 		maxBody  = flag.Int64("max-body-bytes", 0, "JSON request body cap in bytes (0 = 1 MiB)")
 		maxBatch = flag.Int("max-batch-specs", 0, "specs-per-batch cap on POST /v1/jobs/batch (0 = 256, negative = unlimited)")
@@ -225,23 +210,18 @@ func run() error {
 			TenantBurst:   *tburst,
 			Aging:         *aging,
 		},
-		maxBodyBytes:       *maxBody,
-		maxBatchSpecs:      *maxBatch,
-		drain:              *drain,
-		role:               *role,
-		join:               *join,
-		advertise:          *adv,
-		heartbeat:          *hb,
-		shardInflight:      *inflight,
-		journalDir:         *jdir,
-		fleet:              *fleetOn,
-		workerTTL:          *wttl,
-		stealInterval:      *steal,
-		gossipInterval:     *gossip,
-		speculateFactor:    *specF,
-		speculateAfter:     *specA,
-		disableSpeculation: *noSpec,
-		out:                os.Stdout,
+		maxBodyBytes:  *maxBody,
+		maxBatchSpecs: *maxBatch,
+		drain:         *drain,
+		role:          *role,
+		join:          *join,
+		advertise:     *adv,
+		heartbeat:     *hb,
+		shardInflight: *inflight,
+		journalDir:    *jdir,
+		fleet:         *fleetOn,
+		workerTTL:     *wttl,
+		out:           os.Stdout,
 	})
 }
 
@@ -319,21 +299,14 @@ func serve(ctx context.Context, opts options) error {
 			PerWorkerInFlight: opts.shardInflight,
 			WorkerTTL:         opts.workerTTL,
 		})
-		coord := cluster.NewCoordinator(cluster.Config{
-			Members:            ms,
-			SpeculationFactor:  opts.speculateFactor,
-			SpeculationMinWait: opts.speculateAfter,
-			DisableSpeculation: opts.disableSpeculation,
-		})
+		coord := cluster.NewCoordinator(cluster.Config{Members: ms})
 		svcCfg.Runner = coord.Runner()
 		handlerCfg.LiveWorkers = ms.AliveCount
 		handlerCfg.ClusterInfo = func() any { return coord.Snapshot() }
 		extraMetrics = append(extraMetrics, coord.WritePrometheus)
 		mux.Handle("/v1/cluster/", coord.Handler())
 		go ms.HeartbeatLoop(clusterCtx, nil, opts.heartbeat)
-		if opts.gossipInterval >= 0 {
-			go coord.GossipLoop(clusterCtx, opts.gossipInterval)
-		}
+		go coord.GossipLoop(clusterCtx, 0)
 	case roleWorker:
 		w := cluster.NewWorker(opts.shardInflight)
 		w.MaxBodyBytes = opts.maxBodyBytes
@@ -401,9 +374,7 @@ func serve(ctx context.Context, opts options) error {
 			fmt.Fprintf(opts.out, "scrubd: "+format+"\n", args...)
 		}
 		go cluster.JoinLoop(clusterCtx, nil, opts.join, self, opts.heartbeat, logf)
-		if opts.stealInterval >= 0 {
-			go worker.StealLoop(clusterCtx, nil, opts.join, self, opts.stealInterval, logf)
-		}
+		go worker.StealLoop(clusterCtx, nil, opts.join, self, 0, logf)
 	}
 
 	// Slowloris hygiene: bound how long a client may dribble headers and

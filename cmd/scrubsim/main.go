@@ -16,11 +16,12 @@
 //	scrubsim -mechanism combined -json                    # machine-readable result
 //	scrubsim -submit http://127.0.0.1:8344 -replicas 8    # run remotely on scrubd
 //
-// With -submit the flags become a scrubd job spec: the job is POSTed to
-// the daemon, polled until it finishes, and reported exactly like a
-// local run (plus a replica-spread summary when -replicas > 1). Flags
-// that have no job-spec equivalent (-trace, -record, -gap, -slc, -ecp)
-// are rejected in this mode.
+// The flags always become a scrubd job spec. A local run builds it as
+// the daemon would (so -seed 0 means the default seed in both modes) and
+// adds the local-only -trace, -record, -gap, -slc and -ecp. With -submit
+// the job is POSTed to the daemon, polled until it finishes, and
+// reported exactly like a local run (plus a replica-spread summary when
+// -replicas > 1); the local-only flags are rejected in this mode.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/ecc"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/ondie"
@@ -61,7 +61,7 @@ func run() error {
 		mechName = flag.String("mechanism", "combined", "suite mechanism: basic|strong-ecc|light-detect|threshold|combined (overridden by -scheme/-policy)")
 		workload = flag.String("workload", "db-oltp", "built-in workload name (see -list)")
 		horizon  = flag.Float64("horizon", 0, "simulated seconds (0 = system default)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
+		seed     = flag.Uint64("seed", 1, "simulation seed (0 = the default seed, 1)")
 		interval = flag.Float64("interval", 0, "initial scrub interval seconds (0 = derived)")
 		schemeN  = flag.String("scheme", "", "override ECC scheme: SECDED or BCH-<t>")
 		policyN  = flag.String("policy", "", "override policy: basic|always|light|threshold-<k>|combined-<k>|profiled|profiled-<k>")
@@ -126,43 +126,46 @@ func run() error {
 		return err
 	}
 
+	// One job spec describes the run in both modes; a local run builds it
+	// exactly as scrubd would, then layers on the local-only options.
+	spec := service.Spec{
+		Mechanism:   *mechName,
+		Scheme:      *schemeN,
+		Policy:      *policyN,
+		IntervalSec: *interval,
+		Workload:    *workload,
+		HorizonSec:  *horizon,
+		Seed:        *seed,
+		Replicas:    *replicas,
+		AgedWrites:  uint32(*aged),
+	}
+	if plan.Enabled() {
+		spec.Fault = &service.FaultSpec{
+			ReadFlipRate:    plan.ReadFlipRate,
+			ReadFlipMaxBits: plan.ReadFlipMaxBits,
+			SweepSkipRate:   plan.SweepSkipRate,
+			ProbeMissRate:   plan.ProbeMissRate,
+			StuckCheckRate:  plan.StuckCheckRate,
+			StallRate:       plan.StallRate,
+		}
+	}
+	if odCfg.Enabled() {
+		spec.OnDie = &service.OnDieSpec{
+			T:            odCfg.T,
+			WeakT:        odCfg.WeakT,
+			WeakFraction: odCfg.WeakFraction,
+		}
+	}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+
 	if *submit != "" {
 		if *traceIn != "" || *record != "" || *gap != 0 || *slc != 0 || *ecpN != 0 {
 			return fmt.Errorf("-trace, -record, -gap, -slc and -ecp have no job-spec equivalent; drop them or run locally")
-		}
-		spec := service.Spec{
-			Mechanism:   *mechName,
-			Scheme:      *schemeN,
-			Policy:      *policyN,
-			IntervalSec: *interval,
-			Workload:    *workload,
-			HorizonSec:  *horizon,
-			Seed:        *seed,
-			Replicas:    *replicas,
-			AgedWrites:  uint32(*aged),
-		}
-		if plan.Enabled() {
-			spec.Fault = &service.FaultSpec{
-				ReadFlipRate:    plan.ReadFlipRate,
-				ReadFlipMaxBits: plan.ReadFlipMaxBits,
-				SweepSkipRate:   plan.SweepSkipRate,
-				ProbeMissRate:   plan.ProbeMissRate,
-				StuckCheckRate:  plan.StuckCheckRate,
-				StallRate:       plan.StallRate,
-			}
-		}
-		if odCfg.Enabled() {
-			spec.OnDie = &service.OnDieSpec{
-				T:            odCfg.T,
-				WeakT:        odCfg.WeakT,
-				WeakFraction: odCfg.WeakFraction,
-			}
-		}
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
 		}
 		return submitAndReport(ctx, *submit, spec, *jsonOut, *pollWait)
 	}
@@ -170,26 +173,10 @@ func run() error {
 		return fmt.Errorf("-replicas needs -submit; local runs are single (use scrubd or cmd/experiments for campaigns)")
 	}
 
-	sys := core.DefaultSystem()
-	sys.Seed = *seed
-	if *horizon > 0 {
-		sys.Horizon = *horizon
-	}
-	if *aged > 0 {
-		sys.InitialLineWrites = uint32(*aged)
-	}
-	if plan.Enabled() {
-		sys.Fault = plan
-	}
-	if odCfg.Enabled() {
-		sys.OnDie = odCfg
-	}
-
-	w, err := trace.ByName(*workload)
+	sys, mech, w, err := spec.Build()
 	if err != nil {
 		return err
 	}
-
 	if *record != "" {
 		return recordTrace(sys, w, *record)
 	}
@@ -199,37 +186,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	}
-
-	mech, err := core.SuiteMechanism(sys, *mechName)
-	if err != nil {
-		return err
-	}
-	if *schemeN != "" {
-		s, err := ecc.ByName(*schemeN)
-		if err != nil {
-			return err
-		}
-		mech.Scheme = s
-		mech.Name = *schemeN + "+" + mech.Policy.Name()
-	}
-	if *policyN != "" {
-		p, err := parsePolicy(*policyN)
-		if err != nil {
-			return err
-		}
-		mech.Policy = p
-		mech.Name = mech.Scheme.Name() + "+" + p.Name()
-	}
-	if *interval > 0 {
-		mech.Interval = *interval
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
 	}
 	res, err := core.RunOneWithOptionsContext(ctx, sys, mech, w, core.Options{
 		GapMovePeriod: *gap,

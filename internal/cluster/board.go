@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/trace"
 )
 
 // claimKind labels who is executing a shard claim; it routes the
@@ -40,26 +43,24 @@ func (k claimKind) String() string {
 	return "unknown"
 }
 
-// claim is one in-flight execution attempt on a shard task. Tokens are
-// minted per claim and are the idempotency key of result delivery: a
-// result is only accepted under a token the board issued, the first
-// accepted result wins, and every later result is checked byte-for-byte
-// against the winner.
+// claim is one in-flight execution attempt on a shard task, keyed by its
+// token. Tokens are minted per claim and are the idempotency key of
+// result delivery: a result is only accepted under a token the board
+// issued, the first accepted result wins, and every later result is
+// checked byte-for-byte against the winner.
 type claim struct {
-	token  string
 	kind   claimKind
 	worker string // member ID, steal worker URL, or "coordinator"
-	start  time.Time
 }
 
-// shardTask is one replica range of a campaign on the board.
+// shardTask is one replica range of a campaign on the board. A task that
+// is not done and holds no claim is stealable: its primary is parked
+// waiting for an in-flight slot or backing off between failovers.
 type shardTask struct {
-	idx int
 	rg  shardRange
 	key string // consistent-hash placement key
 
-	claims     map[string]*claim
-	stealable  bool // no dispatch currently executing the range
+	claims     map[string]claim
 	speculated bool // a speculative claim was already launched
 	done       bool
 	winner     *ShardResponse
@@ -83,6 +84,10 @@ type board struct {
 	fp    string
 	spec  service.Spec
 	tasks []*shardTask
+	// sys, mech and wl are the built spec, for local execution.
+	sys  core.System
+	mech core.Mechanism
+	wl   trace.Workload
 	// deadline, when nonzero, is the campaign deadline propagated to
 	// stolen shards.
 	deadline time.Time
@@ -97,14 +102,12 @@ type board struct {
 func newBoard(c *Coordinator, fp string, spec service.Spec, plan []shardRange, abort context.CancelFunc) *board {
 	b := &board{c: c, fp: fp, spec: spec, abort: abort}
 	now := time.Now()
-	for i, rg := range plan {
+	for _, rg := range plan {
 		b.tasks = append(b.tasks, &shardTask{
-			idx:       i,
-			rg:        rg,
-			key:       shardKey(fp, rg.first, rg.count),
-			claims:    make(map[string]*claim),
-			stealable: true,
-			started:   now,
+			rg:      rg,
+			key:     shardKey(fp, rg.first, rg.count),
+			claims:  make(map[string]claim),
+			started: now,
 		})
 	}
 	return b
@@ -117,29 +120,25 @@ func (b *board) revive(t *shardTask, resp *ShardResponse, payload []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	t.done = true
-	t.stealable = false
 	t.winner = resp
 	t.winnerJSON = payload
 	t.finished = time.Now()
 }
 
 // register mints a claim token for an execution attempt on the task.
-// Primary, local, and speculative claims mark the range as actively
-// dispatched (not stealable); a steal claim leaves the primary racing.
+// Any claim takes the range off the steal list until it is released or
+// the range is done.
 func (b *board) register(t *shardTask, kind claimKind, worker string) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cl := &claim{
-		token:  fmt.Sprintf("claim-%s-%d", b.fp[:8], b.c.claimSeq.Add(1)),
-		kind:   kind,
-		worker: worker,
-		start:  time.Now(),
-	}
-	t.claims[cl.token] = cl
-	if kind != claimSteal {
-		t.stealable = false
-	}
-	return cl.token
+	return b.claimLocked(t, kind, worker)
+}
+
+// claimLocked mints a claim on t; the caller holds b.mu.
+func (b *board) claimLocked(t *shardTask, kind claimKind, worker string) string {
+	token := fmt.Sprintf("claim-%s-%d", b.fp[:8], b.c.claimSeq.Add(1))
+	t.claims[token] = claim{kind: kind, worker: worker}
+	return token
 }
 
 // releaseClaim withdraws a claim whose execution attempt failed. A
@@ -149,19 +148,31 @@ func (b *board) releaseClaim(t *shardTask, token string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(t.claims, token)
-	if !t.done && !b.activeDispatchLocked(t) {
-		t.stealable = true
-	}
 }
 
-// activeDispatchLocked reports whether a non-steal claim is executing.
-func (b *board) activeDispatchLocked(t *shardTask) bool {
+// claimants returns the workers holding a live claim on t, keyed by
+// member ID or, for steal claims, by worker URL.
+func (b *board) claimants(t *shardTask) map[string]bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]bool, len(t.claims))
 	for _, cl := range t.claims {
-		if cl.kind != claimSteal {
-			return true
+		out[cl.worker] = true
+	}
+	return out
+}
+
+// stolenTask returns the task holding the steal claim token, or nil when
+// no task on this board issued it (or it was already delivered).
+func (b *board) stolenTask(token string) *shardTask {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, t := range b.tasks {
+		if cl, ok := t.claims[token]; ok && cl.kind == claimSteal {
+			return t
 		}
 	}
-	return false
+	return nil
 }
 
 // taskDone reports whether the range already has a winner.
@@ -205,7 +216,6 @@ func (b *board) complete(t *shardTask, token string, resp *ShardResponse) (known
 	delete(t.claims, token)
 	if !t.done {
 		t.done = true
-		t.stealable = false
 		t.winner = resp
 		t.winnerJSON = payload
 		t.finished = time.Now()
@@ -253,38 +263,31 @@ func (b *board) complete(t *shardTask, token string, resp *ShardResponse) (known
 	return true, false, err
 }
 
-// stealTask hands out one pending shard to an idle worker: a task with
-// no dispatch actively executing it (its primary is parked waiting for
-// an in-flight slot or backing off between failovers). At most one
-// steal claim is outstanding per task so a storm of idle workers does
-// not pile onto the same range. Returns ok=false when nothing is
+// stealTask hands out one pending shard to an idle worker: a task that
+// is not done and holds no claim. Since the steal claim itself counts,
+// at most one steal is outstanding per task, so a storm of idle workers
+// does not pile onto the same range. Returns ok=false when nothing is
 // stealable.
-func (b *board) stealTask(workerURL string) (req *ShardRequest, token string, t *shardTask, ok bool) {
+func (b *board) stealTask(workerURL string) (req *ShardRequest, token string, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.err != nil {
-		return nil, "", nil, false
+		return nil, "", false
 	}
-	for _, cand := range b.tasks {
-		if cand.done || !cand.stealable || len(cand.claims) > 0 {
+	for _, t := range b.tasks {
+		if t.done || len(t.claims) > 0 {
 			continue
 		}
-		cl := &claim{
-			token:  fmt.Sprintf("claim-%s-%d", b.fp[:8], b.c.claimSeq.Add(1)),
-			kind:   claimSteal,
-			worker: workerURL,
-			start:  time.Now(),
-		}
-		cand.claims[cl.token] = cl
-		return &ShardRequest{Spec: b.spec, First: cand.rg.first, Count: cand.rg.count}, cl.token, cand, true
+		token := b.claimLocked(t, claimSteal, workerURL)
+		return &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count}, token, true
 	}
-	return nil, "", nil, false
+	return nil, "", false
 }
 
 // stragglers returns the tasks eligible for speculative re-execution at
 // now: the campaign has completed enough shards to know its latency
 // shape, and the task has been running longer than factor × the
-// completed-duration quantile (floored at minWait). Each returned task
+// median completed duration (floored at minWait). Each returned task
 // is marked speculated so it is only ever re-dispatched once.
 func (b *board) stragglers(now time.Time, cfg speculationConfig) []*shardTask {
 	b.mu.Lock()
@@ -304,8 +307,7 @@ func (b *board) stragglers(now time.Time, cfg speculationConfig) []*shardTask {
 	if len(durations) == 0 || pending == 0 {
 		return nil // no latency shape yet, or nothing left to chase
 	}
-	threshold := durationQuantile(durations, cfg.Quantile)
-	threshold = time.Duration(float64(threshold) * cfg.Factor)
+	threshold := time.Duration(float64(lowerMedian(durations)) * cfg.Factor)
 	if threshold < cfg.MinWait {
 		threshold = cfg.MinWait
 	}
@@ -322,22 +324,9 @@ func (b *board) stragglers(now time.Time, cfg speculationConfig) []*shardTask {
 	return out
 }
 
-// durationQuantile returns the q-quantile (0..1) of the samples by
-// nearest-rank on an insertion-sorted copy; samples are tiny (≤ shard
-// count) so O(n²) is irrelevant.
-func durationQuantile(samples []time.Duration, q float64) time.Duration {
-	sorted := append([]time.Duration(nil), samples...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+// lowerMedian returns the lower median of the samples (nearest rank).
+func lowerMedian(samples []time.Duration) time.Duration {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	return sorted[(len(sorted)-1)/2]
 }

@@ -21,22 +21,17 @@ import (
 // tripped workers probe again within the test, and a low threshold so
 // the breaker actually participates.
 func chaosMembership() *Membership {
-	return NewMembershipWith(MembershipConfig{
-		PerWorkerInFlight: 2,
-		BreakerThreshold:  2,
-		BreakerCooldown:   100 * time.Millisecond,
-	})
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
+	ms.breakerThreshold = 2
+	ms.breakerCooldown = 100 * time.Millisecond
+	return ms
 }
 
 // fastCoordinator keeps retry backoff tiny and deterministic.
 func fastCoordinator(ms *Membership, client *http.Client) *Coordinator {
-	return NewCoordinator(Config{
-		Members:   ms,
-		Client:    client,
-		RetryBase: time.Millisecond,
-		RetryMax:  10 * time.Millisecond,
-		RetrySeed: 1,
-	})
+	c := NewCoordinator(Config{Members: ms, Client: client})
+	c.backoff = NewBackoff(time.Millisecond, 10*time.Millisecond, 1)
+	return c
 }
 
 // TestClusterChaosFaultyProxy routes one of two workers through a
@@ -224,18 +219,10 @@ func TestClusterChaosElasticScaleEvents(t *testing.T) {
 	t.Cleanup(srvB.Close)
 	memberB := mustJoin(t, ms, srvB.URL)
 
-	c := NewCoordinator(Config{
-		Members: ms,
-		// Fresh connections per dispatch so every request draws its own
-		// chaos verdict.
-		Client:              &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}},
-		RetryBase:           time.Millisecond,
-		RetryMax:            10 * time.Millisecond,
-		RetrySeed:           1,
-		SpeculationFactor:   1.0,
-		SpeculationMinWait:  50 * time.Millisecond,
-		SpeculationInterval: 5 * time.Millisecond,
-	})
+	// Fresh connections per dispatch so every request draws its own
+	// chaos verdict.
+	c := fastCoordinator(ms, &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}})
+	c.spec = speculationConfig{Factor: 1.0, MinWait: 50 * time.Millisecond, Interval: 5 * time.Millisecond}
 	res, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("elastic chaos run: %v", err)
@@ -300,7 +287,7 @@ func newRecordingShardLog(resumePlan []journal.ShardRange, checkpoints map[journ
 // is recorded under its range.
 func TestClusterFreshJobJournalsPlanAndShards(t *testing.T) {
 	spec := tinySpec(t, 8)
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	_, srv := newWorkerServer(t, 4)
 	mustJoin(t, ms, srv.URL)
 
@@ -354,7 +341,7 @@ func TestClusterResumeByteIdentity(t *testing.T) {
 	// plan must still be honoured (checkpoint reused, remainder local).
 	rec := newRecordingShardLog(plan, map[journal.ShardRange]json.RawMessage{plan[0]: payload})
 	ctx := service.WithShardLog(context.Background(), rec.sl)
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	res, err := c.Run(ctx, spec)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -392,7 +379,7 @@ func TestClusterResumeSurvivesCorruptCheckpoint(t *testing.T) {
 		plan[1]: json.RawMessage(`not json at all`),
 	})
 	ctx := service.WithShardLog(context.Background(), rec.sl)
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	res, err := c.Run(ctx, spec)
 	if err != nil {
 		t.Fatalf("resumed run with corrupt checkpoints: %v", err)
@@ -451,7 +438,7 @@ func TestClusterServiceJournalEndToEnd(t *testing.T) {
 		t.Fatalf("reopen journal: %v", err)
 	}
 	defer jn2.Close()
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	svc := service.New(service.Config{Workers: 1, Runner: c.Runner(), Journal: jn2})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

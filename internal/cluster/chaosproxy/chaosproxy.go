@@ -194,10 +194,17 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-func (p *Proxy) track(c net.Conn) {
+// track registers c so Close can sever it. It reports false once Close
+// has begun: a connection accepted just before Close would otherwise miss
+// Close's sweep and hang its serve goroutine (and Close) forever.
+func (p *Proxy) track(c net.Conn) bool {
 	p.connsMu.Lock()
+	defer p.connsMu.Unlock()
+	if p.closed.Load() {
+		return false
+	}
 	p.conns[c] = struct{}{}
-	p.connsMu.Unlock()
+	return true
 }
 
 func (p *Proxy) untrack(c net.Conn) {
@@ -228,7 +235,10 @@ func (p *Proxy) acceptLoop() {
 
 func (p *Proxy) serve(conn net.Conn, mode Mode, latency time.Duration) {
 	defer p.wg.Done()
-	p.track(conn)
+	if !p.track(conn) {
+		conn.Close()
+		return
+	}
 	defer p.untrack(conn)
 	switch mode {
 	case Drop:

@@ -80,30 +80,47 @@ func readErrorBody(r io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
-// Join announces a worker's base URL to a coordinator once.
-func Join(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) error {
+// postJSON posts in as JSON to a coordinator endpoint and decodes a 200
+// reply into out (nil = ignore the body). A 204 reply reports ok=false
+// with no error; any other status is a *StatusError. what names the
+// call in errors.
+func postJSON(ctx context.Context, client *http.Client, coordinatorURL, path, what string, in, out any) (ok bool, err error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	body, err := json.Marshal(JoinRequest{URL: selfURL})
+	body, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("cluster: encode join request: %w", err)
+		return false, fmt.Errorf("cluster: encode %s: %w", what, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+JoinPath, bytes.NewReader(body))
+		strings.TrimSuffix(coordinatorURL, "/")+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("cluster: build join request: %w", err)
+		return false, fmt.Errorf("cluster: build %s: %w", what, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: join %s: %w", coordinatorURL, err)
+		return false, fmt.Errorf("cluster: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
+	switch {
+	case resp.StatusCode == http.StatusNoContent:
+		return false, nil
+	case resp.StatusCode != http.StatusOK:
+		return false, &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
+	case out == nil:
+		return true, nil
 	}
-	return nil
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return false, fmt.Errorf("cluster: decode %s reply: %w", what, err)
+	}
+	return true, nil
+}
+
+// Join announces a worker's base URL to a coordinator once.
+func Join(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) error {
+	_, err := postJSON(ctx, client, coordinatorURL, JoinPath, "join "+coordinatorURL, JoinRequest{URL: selfURL}, nil)
+	return err
 }
 
 // JoinLoop keeps a worker registered: it retries the first join with a

@@ -85,7 +85,7 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	workers := make([]*Worker, 3)
 	for i := range workers {
 		w, srv := newWorkerServer(t, 2)
@@ -128,7 +128,7 @@ func TestClusterFailoverOnWorkerCrash(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	for i := 0; i < 2; i++ {
 		_, srv := newWorkerServer(t, 2)
 		mustJoin(t, ms, srv.URL)
@@ -178,7 +178,7 @@ func TestClusterHTTPErrorExcludesWithoutDeath(t *testing.T) {
 	spec := tinySpec(t, 4)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(4)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 4})
 	_, srv := newWorkerServer(t, 4)
 	mustJoin(t, ms, srv.URL)
 
@@ -216,7 +216,7 @@ func TestClusterLocalFallbackNoWorkers(t *testing.T) {
 	spec := tinySpec(t, 3)
 	want := standaloneJSON(t, spec)
 
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	res, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("local-fallback run: %v", err)
@@ -237,7 +237,7 @@ func TestClusterShardLocalFallbackAfterDeath(t *testing.T) {
 	spec := tinySpec(t, 4)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	mux := http.NewServeMux()
 	mux.HandleFunc(HealthPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.WriteHeader(http.StatusOK)
@@ -268,7 +268,7 @@ func TestClusterShardLocalFallbackAfterDeath(t *testing.T) {
 func TestClusterRunCancellation(t *testing.T) {
 	spec := tinySpec(t, 8)
 	_, srv := newWorkerServer(t, 2)
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	mustJoin(t, ms, srv.URL)
 	c := NewCoordinator(Config{Members: ms})
 
@@ -280,7 +280,7 @@ func TestClusterRunCancellation(t *testing.T) {
 }
 
 func TestMembershipJoinIdempotent(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembershipWith(MembershipConfig{})
 	a := mustJoin(t, ms, "http://10.0.0.1:8080")
 	b := mustJoin(t, ms, "http://10.0.0.1:8080/")
 	if a.ID != b.ID {
@@ -300,7 +300,7 @@ func TestMembershipJoinIdempotent(t *testing.T) {
 }
 
 func TestMembershipJoinRejectsBadURL(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembershipWith(MembershipConfig{})
 	for _, bad := range []string{"", "not-a-url", "10.0.0.1:8080", "/relative"} {
 		if _, err := ms.Join(bad); err == nil {
 			t.Errorf("Join(%q) accepted an invalid URL", bad)
@@ -309,10 +309,10 @@ func TestMembershipJoinRejectsBadURL(t *testing.T) {
 }
 
 func TestMembershipAcquire(t *testing.T) {
-	ms := NewMembership(1)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})
 	ctx := context.Background()
 
-	if _, _, err := ms.acquire(ctx, nil); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(ctx, "", nil); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("acquire on empty membership = %v, want ErrNoWorkers", err)
 	}
 
@@ -320,11 +320,11 @@ func TestMembershipAcquire(t *testing.T) {
 	b := mustJoin(t, ms, "http://10.0.0.2:1")
 
 	// Least-loaded first, ties by ID.
-	id1, _, err := ms.acquire(ctx, nil)
+	id1, _, err := ms.acquire(ctx, "", nil)
 	if err != nil || id1 != a.ID {
 		t.Fatalf("first acquire = %q, %v; want %q", id1, err, a.ID)
 	}
-	id2, _, err := ms.acquire(ctx, nil)
+	id2, _, err := ms.acquire(ctx, "", nil)
 	if err != nil || id2 != b.ID {
 		t.Fatalf("second acquire = %q, %v; want %q", id2, err, b.ID)
 	}
@@ -332,7 +332,7 @@ func TestMembershipAcquire(t *testing.T) {
 	// All at capacity: acquire blocks until a release.
 	got := make(chan string, 1)
 	go func() {
-		id, _, err := ms.acquire(ctx, nil)
+		id, _, err := ms.acquire(ctx, "", nil)
 		if err != nil {
 			got <- "error: " + err.Error()
 			return
@@ -356,17 +356,17 @@ func TestMembershipAcquire(t *testing.T) {
 
 	// Excluding every worker yields ErrNoWorkers, not a deadlock.
 	ms.release(a.ID)
-	if _, _, err := ms.acquire(ctx, map[string]bool{a.ID: true, b.ID: true}); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(ctx, "", map[string]bool{a.ID: true, b.ID: true}); !errors.Is(err, ErrNoWorkers) {
 		t.Errorf("acquire with all excluded = %v, want ErrNoWorkers", err)
 	}
 
 	// Cancellation unblocks a waiter. b's slot is still held by the
 	// goroutine above; re-acquiring a fills the other slot.
-	_, _, _ = ms.acquire(ctx, nil)
+	_, _, _ = ms.acquire(ctx, "", nil)
 	cctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := ms.acquire(cctx, nil)
+		_, _, err := ms.acquire(cctx, "", nil)
 		errCh <- err
 	}()
 	cancel()
@@ -381,7 +381,7 @@ func TestMembershipAcquire(t *testing.T) {
 }
 
 func TestMembershipCheckOnce(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembershipWith(MembershipConfig{})
 	var healthy atomic.Bool
 	healthy.Store(true)
 	mux := http.NewServeMux()
@@ -416,7 +416,7 @@ func TestMembershipCheckOnce(t *testing.T) {
 }
 
 func TestCoordinatorHandlerJoinAndList(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembershipWith(MembershipConfig{})
 	c := NewCoordinator(Config{Members: ms})
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
@@ -466,6 +466,33 @@ func TestWorkerRejectsAtCapacity(t *testing.T) {
 	}
 	if w.Snapshot().ShardsRejected != 1 {
 		t.Errorf("rejection not counted: %+v", w.Snapshot())
+	}
+}
+
+// TestWorkerRefusesBeforeBuilding: admission comes before validation, so
+// a worker at capacity refuses even an invalid spec with 429 — it builds
+// nothing for work it will not run — while with a free slot the same
+// request is a 400.
+func TestWorkerRefusesBeforeBuilding(t *testing.T) {
+	w := NewWorker(1)
+	spec := tinySpec(t, 2)
+	spec.Workload = "no-such-workload"
+	body, _ := json.Marshal(ShardRequest{Spec: spec, First: 0, Count: 2})
+	post := func() int {
+		rec := httptest.NewRecorder()
+		w.ShardHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body)))
+		return rec.Code
+	}
+	w.sem <- struct{}{}
+	if code := post(); code != http.StatusTooManyRequests {
+		t.Errorf("invalid spec at capacity: status = %d, want 429", code)
+	}
+	<-w.sem
+	if code := post(); code != http.StatusBadRequest {
+		t.Errorf("invalid spec with a free slot: status = %d, want 400", code)
+	}
+	if snap := w.Snapshot(); snap.ShardsFailed != 0 || snap.ShardsRejected != 1 {
+		t.Errorf("counters: %+v, want 1 rejected and 0 failed", snap)
 	}
 }
 

@@ -15,35 +15,23 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/journal"
 	"repro/internal/service"
-	"repro/internal/trace"
 )
 
-// Defaults for shard planning.
+// Shard planning: a job targets shardsPerWorker shards per live worker —
+// more than one so a straggler doesn't serialise the tail — capped at
+// maxShards regardless of fleet size.
 const (
-	// DefaultShardsPerWorker is how many shards a job targets per live
-	// worker — more than one so a straggler doesn't serialise the tail.
-	DefaultShardsPerWorker = 2
-	// DefaultMaxShards caps a single job's shard count regardless of
-	// fleet size.
-	DefaultMaxShards = 32
+	shardsPerWorker = 2
+	maxShards       = 32
 )
 
-// Speculative re-execution defaults: a shard is re-dispatched once it
-// has run Factor × the median completed-shard duration (floored at
-// MinWait), checked every Interval.
-const (
-	DefaultSpeculationFactor   = 1.5
-	DefaultSpeculationMinWait  = 2 * time.Second
-	DefaultSpeculationInterval = 100 * time.Millisecond
-	defaultSpeculationQuantile = 0.5
-)
-
-// speculationConfig shapes the straggler detector.
+// speculationConfig shapes the straggler detector: a shard is
+// re-dispatched once it has run Factor × the median completed-shard
+// duration (floored at MinWait), checked every Interval.
 type speculationConfig struct {
 	Factor   float64
 	MinWait  time.Duration
 	Interval time.Duration
-	Quantile float64
 	Disabled bool
 }
 
@@ -54,25 +42,6 @@ type Config struct {
 	// Client performs shard dispatches (nil = http.DefaultClient). Shard
 	// requests are bounded by the job context, not a client timeout.
 	Client *http.Client
-	// ShardsPerWorker targets this many shards per live worker
-	// (0 = DefaultShardsPerWorker).
-	ShardsPerWorker int
-	// MaxShards caps shards per job (0 = DefaultMaxShards).
-	MaxShards int
-	// RetryBase / RetryMax shape the full-jitter backoff between failed
-	// shard dispatch attempts (0 = DefaultRetryBase / DefaultRetryMax).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetrySeed fixes the jitter stream for deterministic tests
-	// (0 = a fixed default stream).
-	RetrySeed int64
-	// SpeculationFactor / SpeculationMinWait / SpeculationInterval shape
-	// the straggler detector (0 = the defaults above);
-	// DisableSpeculation turns it off entirely.
-	SpeculationFactor   float64
-	SpeculationMinWait  time.Duration
-	SpeculationInterval time.Duration
-	DisableSpeculation  bool
 }
 
 // Coordinator turns one replicated job into seed-ranged shards spread
@@ -86,13 +55,11 @@ type Config struct {
 // coordinator node's queue, dedup, and content-addressed cache operate
 // unchanged — the fingerprint still addresses the whole job.
 type Coordinator struct {
-	ms              *Membership
-	client          *http.Client
-	shardsPerWorker int
-	maxShards       int
-	backoff         *Backoff
-	spec            speculationConfig
-	gossip          *cacheGossip
+	ms      *Membership
+	client  *http.Client
+	backoff *Backoff
+	spec    speculationConfig
+	gossip  *cacheGossip
 
 	jobsSharded      atomic.Int64
 	jobsLocal        atomic.Int64
@@ -117,17 +84,10 @@ type Coordinator struct {
 	gossipAnswers        atomic.Int64
 	gossipMisses         atomic.Int64
 
-	// boardMu guards the active campaign boards and the steal-token
-	// routing table for the HTTP claim endpoints.
+	// boardMu guards the active campaign boards, which are also the only
+	// registry of claim tokens for the HTTP claim endpoints.
 	boardMu sync.Mutex
 	boards  []*board
-	claims  map[string]stealRef
-}
-
-// stealRef routes a delivered claim token back to its board and task.
-type stealRef struct {
-	b *board
-	t *shardTask
 }
 
 // NewCoordinator builds a coordinator over a membership.
@@ -136,44 +96,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 		panic("cluster: Coordinator needs a Membership")
 	}
 	c := &Coordinator{
-		ms:              cfg.Members,
-		client:          cfg.Client,
-		shardsPerWorker: cfg.ShardsPerWorker,
-		maxShards:       cfg.MaxShards,
-		gossip:          newCacheGossip(),
-		claims:          make(map[string]stealRef),
-		spec: speculationConfig{
-			Factor:   cfg.SpeculationFactor,
-			MinWait:  cfg.SpeculationMinWait,
-			Interval: cfg.SpeculationInterval,
-			Quantile: defaultSpeculationQuantile,
-			Disabled: cfg.DisableSpeculation,
-		},
+		ms:      cfg.Members,
+		client:  cfg.Client,
+		backoff: NewBackoff(0, 0, 0),
+		// Every coordinator runs this detector; tests tighten it.
+		spec:   speculationConfig{Factor: 1.5, MinWait: 2 * time.Second, Interval: 100 * time.Millisecond},
+		gossip: newCacheGossip(),
 	}
 	if c.client == nil {
 		c.client = http.DefaultClient
 	}
-	if c.shardsPerWorker <= 0 {
-		c.shardsPerWorker = DefaultShardsPerWorker
-	}
-	if c.maxShards <= 0 {
-		c.maxShards = DefaultMaxShards
-	}
-	if c.spec.Factor <= 0 {
-		c.spec.Factor = DefaultSpeculationFactor
-	}
-	if c.spec.MinWait <= 0 {
-		c.spec.MinWait = DefaultSpeculationMinWait
-	}
-	if c.spec.Interval <= 0 {
-		c.spec.Interval = DefaultSpeculationInterval
-	}
-	c.backoff = NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed)
 	return c
 }
-
-// Members exposes the coordinator's worker registry.
-func (c *Coordinator) Members() *Membership { return c.ms }
 
 // Runner adapts the coordinator to the service's job executor interface.
 func (c *Coordinator) Runner() service.Runner {
@@ -216,7 +150,7 @@ func (c *Coordinator) registerBoard(b *board) {
 	c.boards = append(c.boards, b)
 }
 
-// unregisterBoard retires a finished campaign and forgets its
+// unregisterBoard retires a finished campaign, and with it its
 // outstanding steal tokens — a late delivery for one gets a clean
 // "unknown token" ack and the worker drops the work.
 func (c *Coordinator) unregisterBoard(b *board) {
@@ -228,11 +162,13 @@ func (c *Coordinator) unregisterBoard(b *board) {
 			break
 		}
 	}
-	for token, ref := range c.claims {
-		if ref.b == b {
-			delete(c.claims, token)
-		}
-	}
+}
+
+// activeBoards snapshots the registered campaign boards.
+func (c *Coordinator) activeBoards() []*board {
+	c.boardMu.Lock()
+	defer c.boardMu.Unlock()
+	return append([]*board(nil), c.boards...)
 }
 
 // Run executes one normalised spec across the cluster and merges the
@@ -295,7 +231,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 			}
 			return service.NewResult(spec, rep), nil
 		}
-		plan = planShards(n, min(alive*c.shardsPerWorker, c.maxShards))
+		plan = planShards(n, min(alive*shardsPerWorker, maxShards))
 		if sl != nil {
 			jp := make([]journal.ShardRange, len(plan))
 			for i, rg := range plan {
@@ -311,6 +247,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 	defer cancelRun()
 
 	b := newBoard(c, fp, spec, plan, cancelRun)
+	b.sys, b.mech, b.wl = sys, mech, wl
 	if dl, ok := ctx.Deadline(); ok {
 		b.deadline = dl
 	}
@@ -353,7 +290,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 		go func(i int, t *shardTask) {
 			defer wg.Done()
 			defer t.cancel()
-			if err := c.runTask(t.ctx, b, t, sys, mech, wl); err != nil {
+			if err := c.runTask(t.ctx, b, t); err != nil {
 				errs[i] = err
 				cancelRun() // a doomed job should stop burning the fleet
 				return
@@ -365,7 +302,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 		specWg.Add(1)
 		go func() {
 			defer specWg.Done()
-			c.speculate(runCtx, b, &specWg, sys, mech, wl)
+			c.speculate(runCtx, b, &specWg)
 		}()
 	}
 	wg.Wait()
@@ -493,72 +430,96 @@ func firstShardError(ctx context.Context, errs []error) error {
 	return fallback
 }
 
+// attempt makes one remote execution attempt at t under a claim of
+// kind: acquire a worker (ring order for key, least loaded when key is
+// empty, never one in exclude), register the claim, post the shard,
+// check the echo, feed the worker's breaker, release its slot, and
+// complete or withdraw the claim. It returns the worker tried — "" when
+// acquire failed, err then being acquire's error, ErrNoWorkers
+// included — and whether the failure was below HTTP. A nil error means
+// the claim completed; an integrity failure there is recorded on the
+// board, which aborts the campaign and dominates Run's outcome.
+func (c *Coordinator) attempt(ctx context.Context, b *board, t *shardTask, kind claimKind, key string, exclude map[string]bool) (id string, transport bool, err error) {
+	id, baseURL, err := c.ms.acquire(ctx, key, exclude)
+	if err != nil {
+		return "", false, err
+	}
+	token := b.register(t, kind, id)
+	c.shardsDispatched.Add(1)
+	resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
+	if err == nil {
+		_, err = resp.Shard(t.rg.first, t.rg.count)
+	}
+	if err != nil {
+		b.releaseClaim(t, token)
+	}
+	// An HTTP-level refusal proves the transport works: it feeds the
+	// breaker as a success even though this shard moves on. Anything
+	// else (dial/read failure, garbled body, wrong echo) counts against
+	// the breaker.
+	var se *StatusError
+	transport = err != nil && !errors.As(err, &se)
+	if transport {
+		c.ms.ReportFailure(id)
+	} else {
+		c.ms.ReportSuccess(id)
+	}
+	c.ms.release(id)
+	if err != nil {
+		return id, transport, err
+	}
+	if kind == claimPrimary {
+		c.shardsCompleted.Add(1)
+	}
+	_, _, _ = b.complete(t, token, resp)
+	return id, false, nil
+}
+
+// runLocal executes t on the coordinator itself under a claim of kind,
+// the fallback when no eligible worker exists. It returns only the
+// execution's error (see attempt for integrity failures).
+func (c *Coordinator) runLocal(ctx context.Context, b *board, t *shardTask, kind claimKind) error {
+	token := b.register(t, kind, "coordinator")
+	if kind == claimLocal {
+		c.shardsLocal.Add(1)
+	}
+	sh, err := core.RunShardContext(ctx, b.sys, b.mech, b.wl, t.rg.first, t.rg.count)
+	if err != nil {
+		b.releaseClaim(t, token)
+		return err
+	}
+	_, _, _ = b.complete(t, token, NewShardResponse(sh))
+	return nil
+}
+
 // runTask drives one shard task to completion as its primary claimant,
 // failing over across workers: placement follows the consistent-hash
 // sequence for the task's key (owner first, then the deterministic
 // failover order), a worker that errors is excluded for this shard (and
 // declared dead on transport errors, where the whole node is suspect —
 // an HTTP-level error proves the node is at least serving). Failed
-// attempts feed the worker's circuit breaker and are separated by
-// full-jitter exponential backoff; while the primary is parked the
-// range is open for stealing. When no eligible worker remains the shard
-// runs locally on the coordinator. A task whose winner arrived through
-// another claim (a steal or a speculation) ends the loop with success.
-func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask, sys core.System, mech core.Mechanism, wl trace.Workload) error {
+// attempts are separated by full-jitter exponential backoff; while the
+// primary is parked the range is open for stealing. When no eligible
+// worker remains the shard runs locally on the coordinator. A task
+// whose winner arrived through another claim (a steal or a speculation)
+// ends the loop with success.
+func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask) error {
 	exclude := make(map[string]bool)
 	for attempt := 0; ; attempt++ {
 		if b.taskDone(t) {
 			return nil
 		}
-		id, baseURL, err := c.ms.acquireRanked(ctx, t.key, exclude)
+		id, transport, err := c.attempt(ctx, b, t, claimPrimary, t.key, exclude)
 		if errors.Is(err, ErrNoWorkers) {
-			token := b.register(t, claimLocal, "coordinator")
-			c.shardsLocal.Add(1)
-			sh, err := core.RunShardContext(ctx, sys, mech, wl, t.rg.first, t.rg.count)
-			if err != nil {
-				b.releaseClaim(t, token)
-				if b.taskDone(t) {
-					return nil // cancelled because another claim won
-				}
+			if err := c.runLocal(ctx, b, t, claimLocal); err != nil && !b.taskDone(t) {
 				return err
 			}
-			_, _, cerr := b.complete(t, token, NewShardResponse(sh))
-			return cerr
-		}
-		if err != nil {
-			if b.taskDone(t) {
-				return nil
-			}
-			return fmt.Errorf("cluster: shard [%d,+%d): %w", t.rg.first, t.rg.count, err)
-		}
-		token := b.register(t, claimPrimary, id)
-		c.shardsDispatched.Add(1)
-		resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
-		if err == nil {
-			if _, err = resp.Shard(t.rg.first, t.rg.count); err == nil {
-				c.ms.ReportSuccess(id)
-				c.ms.release(id)
-				c.shardsCompleted.Add(1)
-				_, _, cerr := b.complete(t, token, resp)
-				return cerr
-			}
-		}
-		b.releaseClaim(t, token)
-		// An HTTP-level refusal proves the transport works: it feeds the
-		// breaker as a success even though this shard moves on. Anything
-		// else (dial/read failure, garbled body) counts against the
-		// breaker and marks the node suspect.
-		var se *StatusError
-		transport := !errors.As(err, &se)
-		if transport {
-			c.ms.ReportFailure(id)
-		} else {
-			c.ms.ReportSuccess(id)
-		}
-		c.ms.release(id)
-		if b.taskDone(t) {
 			return nil
 		}
+		if err == nil || b.taskDone(t) {
+			return nil // done, or cancelled because another claim won
+		}
+		// Apart from ErrNoWorkers, acquire fails only when ctx ends.
 		if ctx.Err() != nil {
 			return fmt.Errorf("cluster: shard [%d,+%d): %w", t.rg.first, t.rg.count, ctx.Err())
 		}
@@ -578,7 +539,7 @@ func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask, sys c
 
 // speculate watches a campaign for stragglers and re-dispatches each at
 // most once. The monitor exits when the campaign's context ends.
-func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.WaitGroup, sys core.System, mech core.Mechanism, wl trace.Workload) {
+func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.WaitGroup) {
 	ticker := time.NewTicker(c.spec.Interval)
 	defer ticker.Stop()
 	for {
@@ -591,7 +552,7 @@ func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.Wait
 				specWg.Add(1)
 				go func(t *shardTask) {
 					defer specWg.Done()
-					c.speculateTask(t.ctx, b, t, sys, mech, wl)
+					c.speculateTask(t.ctx, b, t)
 				}(t)
 			}
 		}
@@ -599,47 +560,18 @@ func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.Wait
 }
 
 // speculateTask runs one speculative claim: a single extra execution
-// attempt (least-loaded placement, deliberately off the straggling
-// ring owner) racing the primary. Failures simply abandon the claim —
-// the primary still owns the range, so a speculation can only ever
-// help.
-func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask, sys core.System, mech core.Mechanism, wl trace.Workload) {
+// attempt racing the primary, placed on the least-loaded worker that
+// holds no live claim on the range — never on the straggler itself.
+// Failures simply abandon the claim — the primary still owns the range,
+// so a speculation can only ever help.
+func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask) {
 	if b.taskDone(t) {
 		return
 	}
-	id, baseURL, err := c.ms.acquire(ctx, nil)
+	_, _, err := c.attempt(ctx, b, t, claimSpeculative, "", b.claimants(t))
 	if errors.Is(err, ErrNoWorkers) {
-		token := b.register(t, claimSpeculative, "coordinator")
-		sh, err := core.RunShardContext(ctx, sys, mech, wl, t.rg.first, t.rg.count)
-		if err != nil {
-			b.releaseClaim(t, token)
-			return
-		}
-		_, _, _ = b.complete(t, token, NewShardResponse(sh))
-		return
+		_ = c.runLocal(ctx, b, t, claimSpeculative)
 	}
-	if err != nil {
-		return
-	}
-	token := b.register(t, claimSpeculative, id)
-	c.shardsDispatched.Add(1)
-	resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
-	if err == nil {
-		if _, verr := resp.Shard(t.rg.first, t.rg.count); verr == nil {
-			c.ms.ReportSuccess(id)
-			c.ms.release(id)
-			_, _, _ = b.complete(t, token, resp)
-			return
-		}
-	}
-	b.releaseClaim(t, token)
-	var se *StatusError
-	if !errors.As(err, &se) {
-		c.ms.ReportFailure(id)
-	} else {
-		c.ms.ReportSuccess(id)
-	}
-	c.ms.release(id)
 }
 
 // maxClaimBodyBytes caps the claims endpoint's body: a stolen shard's
@@ -725,19 +657,13 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // stealPending hands one stealable shard from any active campaign to an
-// idle worker, registering the claim token for later delivery.
+// idle worker under a fresh steal claim on that campaign's board.
 func (c *Coordinator) stealPending(workerURL string) (*StealResponse, bool) {
-	c.boardMu.Lock()
-	boards := append([]*board(nil), c.boards...)
-	c.boardMu.Unlock()
-	for _, b := range boards {
-		req, token, t, ok := b.stealTask(workerURL)
+	for _, b := range c.activeBoards() {
+		req, token, ok := b.stealTask(workerURL)
 		if !ok {
 			continue
 		}
-		c.boardMu.Lock()
-		c.claims[token] = stealRef{b: b, t: t}
-		c.boardMu.Unlock()
 		c.stealsServed.Add(1)
 		sr := &StealResponse{Token: token, Shard: *req}
 		if !b.deadline.IsZero() {
@@ -748,22 +674,18 @@ func (c *Coordinator) stealPending(workerURL string) (*StealResponse, bool) {
 	return nil, false
 }
 
-// deliverClaim routes a stolen shard's result to its board. An unknown
-// token (campaign finished, coordinator restarted) is acked as
-// not-accepted so the worker drops the work — some other claim owns the
-// range.
+// deliverClaim routes a stolen shard's result to the board that issued
+// its token. An unknown token (already delivered, campaign finished,
+// coordinator restarted) is acked as not-accepted so the worker drops
+// the work — some other claim owns the range.
 func (c *Coordinator) deliverClaim(token string, resp *ShardResponse) ClaimAck {
-	c.boardMu.Lock()
-	ref, ok := c.claims[token]
-	if ok {
-		delete(c.claims, token)
+	for _, b := range c.activeBoards() {
+		if t := b.stolenTask(token); t != nil {
+			known, won, _ := b.complete(t, token, resp)
+			return ClaimAck{Accepted: known, Won: won}
+		}
 	}
-	c.boardMu.Unlock()
-	if !ok {
-		return ClaimAck{Accepted: false}
-	}
-	known, won, _ := ref.b.complete(ref.t, token, resp)
-	return ClaimAck{Accepted: known, Won: won}
+	return ClaimAck{Accepted: false}
 }
 
 // RingVersion exposes the placement epoch for health and metrics.

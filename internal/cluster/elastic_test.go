@@ -111,7 +111,7 @@ func TestRingVersionBumpsOnChurnOnly(t *testing.T) {
 // key's ring owner and falls over in ring order when the owner is
 // excluded.
 func TestAcquireRankedFollowsRing(t *testing.T) {
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	for i := 1; i <= 3; i++ {
 		mustJoin(t, ms, fmt.Sprintf("http://10.0.0.%d:1", i))
 	}
@@ -119,14 +119,14 @@ func TestAcquireRankedFollowsRing(t *testing.T) {
 	seq := ms.Ring().Sequence(key)
 	ctx := context.Background()
 
-	id, _, err := ms.acquireRanked(ctx, key, nil)
+	id, _, err := ms.acquire(ctx, key, nil)
 	if err != nil || id != seq[0] {
-		t.Fatalf("acquireRanked = %q, %v; want ring owner %q", id, err, seq[0])
+		t.Fatalf("acquire = %q, %v; want ring owner %q", id, err, seq[0])
 	}
 	ms.release(id)
-	id, _, err = ms.acquireRanked(ctx, key, map[string]bool{seq[0]: true})
+	id, _, err = ms.acquire(ctx, key, map[string]bool{seq[0]: true})
 	if err != nil || id != seq[1] {
-		t.Fatalf("acquireRanked with owner excluded = %q, %v; want %q", id, err, seq[1])
+		t.Fatalf("acquire with owner excluded = %q, %v; want %q", id, err, seq[1])
 	}
 	ms.release(id)
 }
@@ -134,7 +134,7 @@ func TestAcquireRankedFollowsRing(t *testing.T) {
 // --- Helpers for board/steal tests ---
 
 // parkedCampaign starts a cluster run whose only worker is at capacity,
-// so every primary dispatch parks in acquireRanked and the whole plan
+// so every primary dispatch parks in acquire and the whole plan
 // is stealable. It returns the coordinator (speculation off), its HTTP
 // handler server, the parked member's ID, and a channel carrying Run's
 // outcome. Callers must eventually complete the campaign (by stealing)
@@ -150,11 +150,11 @@ type runOutcome struct {
 
 func parkedCampaign(t *testing.T, spec service.Spec, alsoParked ...string) (*Coordinator, *httptest.Server, string, chan runOutcome) {
 	t.Helper()
-	ms := NewMembership(1)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})
 	var parked string
 	for _, u := range append([]string{"http://127.0.0.1:1"}, alsoParked...) {
 		m := mustJoin(t, ms, u) // never dialed: its one slot is held here
-		id, _, err := ms.acquire(context.Background(), nil)
+		id, _, err := ms.acquire(context.Background(), "", nil)
 		if err != nil || id != m.ID {
 			t.Fatalf("failed to park worker %s: %q, %v", u, id, err)
 		}
@@ -162,7 +162,8 @@ func parkedCampaign(t *testing.T, spec service.Spec, alsoParked ...string) (*Coo
 			parked = m.ID
 		}
 	}
-	c := NewCoordinator(Config{Members: ms, DisableSpeculation: true})
+	c := NewCoordinator(Config{Members: ms})
+	c.spec.Disabled = true
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
 	out := make(chan runOutcome, 1)
@@ -423,14 +424,70 @@ func TestStealAbandonedByDeadThief(t *testing.T) {
 
 func testBoard(t *testing.T, spec service.Spec, ranges []shardRange) (*Coordinator, *board, context.Context) {
 	t.Helper()
-	c := NewCoordinator(Config{Members: NewMembership(1), DisableSpeculation: true})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})})
+	c.spec.Disabled = true
+	b, ctx := boardOn(t, c, spec, ranges)
+	return c, b, ctx
+}
+
+// boardOn builds an unregistered campaign board on c whose tasks carry
+// live contexts.
+func boardOn(t *testing.T, c *Coordinator, spec service.Spec, ranges []shardRange) (*board, context.Context) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	b := newBoard(c, spec.Fingerprint(), spec, ranges, cancel)
 	for _, tk := range b.tasks {
 		tk.ctx, tk.cancel = context.WithCancel(ctx)
 	}
-	return c, b, ctx
+	return b, ctx
+}
+
+// TestBoardStealability pins the invariant the steal check rests on: a
+// task is stealable exactly when it is not done and holds no claim —
+// whatever sequence of claims brought it there.
+func TestBoardStealability(t *testing.T) {
+	spec := tinySpec(t, 2)
+	primary := func(b *board, task *shardTask) string { return b.register(task, claimPrimary, "worker-001") }
+	cases := []struct {
+		name string
+		act  func(t *testing.T, c *Coordinator, b *board, task *shardTask)
+		want bool
+	}{
+		{"fresh", func(*testing.T, *Coordinator, *board, *shardTask) {}, true},
+		{"primary registered", func(_ *testing.T, _ *Coordinator, b *board, task *shardTask) { primary(b, task) }, false},
+		{"primary released", func(_ *testing.T, _ *Coordinator, b *board, task *shardTask) {
+			b.releaseClaim(task, primary(b, task))
+		}, true},
+		{"local registered", func(_ *testing.T, _ *Coordinator, b *board, task *shardTask) {
+			b.register(task, claimLocal, "coordinator")
+		}, false},
+		{"speculation released, primary live", func(_ *testing.T, _ *Coordinator, b *board, task *shardTask) {
+			primary(b, task)
+			b.releaseClaim(task, b.register(task, claimSpeculative, "worker-002"))
+		}, false},
+		{"steal outstanding", func(t *testing.T, c *Coordinator, _ *board, _ *shardTask) {
+			if _, ok := c.stealPending("http://thief"); !ok {
+				t.Fatal("fresh task was not stealable")
+			}
+		}, false},
+		{"done", func(t *testing.T, _ *Coordinator, b *board, task *shardTask) {
+			if _, won, _ := b.complete(task, primary(b, task), &ShardResponse{First: 0, Count: 2}); !won {
+				t.Fatal("sole claim did not win")
+			}
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, b, _ := testBoard(t, spec, []shardRange{{0, 2}})
+			c.registerBoard(b)
+			defer c.unregisterBoard(b)
+			tc.act(t, c, b, b.tasks[0])
+			if _, got := c.stealPending("http://probe"); got != tc.want {
+				t.Errorf("stealable = %v, want %v", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestBoardDuplicateResultDiscarded: when two claims race and return
@@ -517,7 +574,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
 	// Worker A: hangs its first shard until the coordinator cancels it;
 	// serves normally afterwards.
 	realA := NewWorker(2)
@@ -544,12 +601,8 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	_, srvB := newWorkerServer(t, 2)
 	mustJoin(t, ms, srvB.URL)
 
-	c := NewCoordinator(Config{
-		Members:             ms,
-		SpeculationFactor:   1.0,
-		SpeculationMinWait:  50 * time.Millisecond,
-		SpeculationInterval: 10 * time.Millisecond,
-	})
+	c := NewCoordinator(Config{Members: ms})
+	c.spec = speculationConfig{Factor: 1.0, MinWait: 50 * time.Millisecond, Interval: 10 * time.Millisecond}
 	res, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("run with straggler: %v", err)
@@ -576,17 +629,13 @@ func TestSpeculativeDuplicateStorm(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(4)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 4})
 	for i := 0; i < 3; i++ {
 		_, srv := newWorkerServer(t, 4)
 		mustJoin(t, ms, srv.URL)
 	}
-	c := NewCoordinator(Config{
-		Members:             ms,
-		SpeculationFactor:   0.0001,
-		SpeculationMinWait:  time.Nanosecond,
-		SpeculationInterval: time.Millisecond,
-	})
+	c := NewCoordinator(Config{Members: ms})
+	c.spec = speculationConfig{Factor: 0.0001, MinWait: time.Nanosecond, Interval: time.Millisecond}
 	res, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("run under speculation storm: %v", err)
@@ -603,6 +652,47 @@ func TestSpeculativeDuplicateStorm(t *testing.T) {
 	// trail — the speculative losses.
 	if snap.DuplicateResults < snap.SpeculativeLosses {
 		t.Errorf("speculative losses not all counted as duplicates: %+v", snap)
+	}
+}
+
+// TestSpeculationAvoidsClaimHolders: a speculative copy must not land on
+// a worker that already holds a claim on the range. With both workers
+// running one shard their loads tie, and least-loaded placement alone
+// would send the copy to the lower-ID worker — the straggler.
+func TestSpeculationAvoidsClaimHolders(t *testing.T) {
+	spec := tinySpec(t, 2)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
+	var hits [2]atomic.Int64
+	for i := range hits {
+		w := NewWorker(2)
+		mux := http.NewServeMux()
+		mux.HandleFunc(ShardPath, func(rw http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			w.ShardHandler().ServeHTTP(rw, r)
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		mustJoin(t, ms, srv.URL)
+	}
+	c := NewCoordinator(Config{Members: ms})
+	b, ctx := boardOn(t, c, spec, []shardRange{{0, 1}, {1, 1}})
+
+	// worker-001 straggles on task 0 while worker-002 runs task 1.
+	for i, want := range []string{"worker-001", "worker-002"} {
+		id, _, err := ms.acquire(ctx, "", nil)
+		if err != nil || id != want {
+			t.Fatalf("acquire = %q, %v; want %s", id, err, want)
+		}
+		defer ms.release(id)
+		b.register(b.tasks[i], claimPrimary, id)
+	}
+	c.speculateTask(ctx, b, b.tasks[0])
+	if !b.taskDone(b.tasks[0]) {
+		t.Fatal("speculative copy did not complete the range")
+	}
+	if hits[0].Load() != 0 || hits[1].Load() != 1 {
+		t.Errorf("speculative copy went to the straggler: worker-001 got %d, worker-002 got %d",
+			hits[0].Load(), hits[1].Load())
 	}
 }
 
@@ -643,7 +733,7 @@ func TestGossipAnswersWholeJob(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	ms := NewMembership(1)
+	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})
 	mustJoin(t, ms, srv.URL)
 	c := NewCoordinator(Config{Members: ms, Client: srv.Client()})
 	c.GossipOnce(context.Background(), time.Second)
@@ -694,7 +784,7 @@ func TestLocalFallbackHonorsSpecTimeout(t *testing.T) {
 	spec := tinySpec(t, 64)
 	spec.TimeoutSec = 0.002 // far less than 64 replicas need
 
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	start := time.Now()
 	_, err := c.Run(context.Background(), spec)
 	if err == nil {
@@ -711,7 +801,7 @@ func TestLocalFallbackHonorsSpecTimeout(t *testing.T) {
 // --- Observability (satellite b) ---
 
 func TestCoordinatorMetricsExposeElasticCounters(t *testing.T) {
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	var buf strings.Builder
 	if err := c.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
@@ -737,12 +827,12 @@ func TestCoordinatorMetricsExposeElasticCounters(t *testing.T) {
 }
 
 func TestHealthzCarriesClusterState(t *testing.T) {
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{})})
 	svc := service.New(service.Config{})
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
 	h := service.NewHandlerWith(svc, service.HandlerConfig{
 		Role:        "coordinator",
-		LiveWorkers: c.Members().AliveCount,
+		LiveWorkers: c.ms.AliveCount,
 		ClusterInfo: func() any { return c.Snapshot() },
 	})
 	srv := httptest.NewServer(h)
@@ -772,7 +862,7 @@ func TestHealthzCarriesClusterState(t *testing.T) {
 
 // TestRingEndpoint exercises GET /v1/cluster/ring.
 func TestRingEndpoint(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembershipWith(MembershipConfig{})
 	mustJoin(t, ms, "http://10.0.0.1:1")
 	mustJoin(t, ms, "http://10.0.0.2:1")
 	c := NewCoordinator(Config{Members: ms})

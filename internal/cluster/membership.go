@@ -73,9 +73,14 @@ type Membership struct {
 
 	// now is the clock, a hook for deterministic tests.
 	now func() time.Time
+	// breakerThreshold and breakerCooldown set the circuit breaker of
+	// members joining from now on (0 = the breaker defaults); tests
+	// tighten them.
+	breakerThreshold int
+	breakerCooldown  time.Duration
 }
 
-// MembershipConfig sizes a Membership's admission and health policies.
+// MembershipConfig sizes a Membership's admission and eviction policies.
 type MembershipConfig struct {
 	// PerWorkerInFlight bounds concurrent shard dispatches per worker
 	// (0 = DefaultPerWorkerInFlight).
@@ -84,19 +89,6 @@ type MembershipConfig struct {
 	// or passed a heartbeat) for this long. 0 keeps dead workers
 	// registered forever, the pre-TTL behaviour.
 	WorkerTTL time.Duration
-	// BreakerThreshold trips a worker's circuit breaker after this many
-	// consecutive transport failures (0 = DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open probe delay
-	// (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
-}
-
-// NewMembership creates an empty membership with the given per-worker
-// in-flight bound (0 = DefaultPerWorkerInFlight) and default breaker
-// and TTL policies.
-func NewMembership(perWorkerInFlight int) *Membership {
-	return NewMembershipWith(MembershipConfig{PerWorkerInFlight: perWorkerInFlight})
 }
 
 // NewMembershipWith creates an empty membership under cfg.
@@ -140,7 +132,7 @@ func (ms *Membership) Join(rawURL string) (Member, error) {
 		alive:    true,
 		joinedAt: ms.now(),
 		lastSeen: ms.now(),
-		brk:      newBreaker(ms.cfg.BreakerThreshold, ms.cfg.BreakerCooldown),
+		brk:      newBreaker(ms.breakerThreshold, ms.breakerCooldown),
 	}
 	ms.members[m.id] = m
 	ms.byURL[base] = m.id
@@ -177,16 +169,6 @@ func (ms *Membership) RingVersion() uint64 {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	return ms.epoch
-}
-
-// URLFor resolves a member ID to its base URL ("" when unknown).
-func (ms *Membership) URLFor(id string) string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m, ok := ms.members[id]; ok {
-		return m.url
-	}
-	return ""
 }
 
 func (m *member) view() Member {
@@ -229,16 +211,7 @@ func (ms *Membership) Size() int {
 	return len(ms.members)
 }
 
-// acquire reserves an in-flight slot on the least-loaded live worker not
-// in exclude. When every eligible worker is at its in-flight bound it
-// blocks until a slot frees, a new worker joins, or ctx ends; when no
-// eligible worker exists at all it returns ErrNoWorkers immediately (the
-// local-fallback signal).
-func (ms *Membership) acquire(ctx context.Context, exclude map[string]bool) (id, baseURL string, err error) {
-	return ms.acquireRanked(ctx, "", exclude)
-}
-
-// acquireRanked reserves an in-flight slot on the most-preferred
+// acquire reserves an in-flight slot on the most-preferred
 // eligible worker for a placement key. With a non-empty key the
 // preference order is the consistent-hash ring sequence for that key
 // (the key's owner first, then its deterministic failover order), so
@@ -247,12 +220,12 @@ func (ms *Membership) acquire(ctx context.Context, exclude map[string]bool) (id,
 // key it degrades to least-loaded placement (ties by ID), the order
 // used for placement-agnostic dispatches.
 //
-// Eligibility is unchanged from acquire: alive, not excluded, breaker
-// admits an attempt. When every eligible worker is at its in-flight
-// bound the call blocks until a slot frees, a member joins, or ctx
-// ends; with no eligible worker at all it returns ErrNoWorkers
-// immediately (the local-fallback signal).
-func (ms *Membership) acquireRanked(ctx context.Context, key string, exclude map[string]bool) (id, baseURL string, err error) {
+// A worker is eligible when it is alive, its breaker admits an attempt,
+// and neither its ID nor its URL is in exclude. When every eligible
+// worker is at its in-flight bound the call blocks until a slot frees, a
+// member joins, or ctx ends; with no eligible worker at all it returns
+// ErrNoWorkers immediately (the local-fallback signal).
+func (ms *Membership) acquire(ctx context.Context, key string, exclude map[string]bool) (id, baseURL string, err error) {
 	// Wake the wait loop when the context ends.
 	stop := context.AfterFunc(ctx, func() {
 		ms.mu.Lock()
@@ -272,7 +245,7 @@ func (ms *Membership) acquireRanked(ctx context.Context, key string, exclude map
 			// A breaker-open worker is not a candidate at all: with
 			// every worker open we fall back locally rather than
 			// blocking for a cooldown.
-			return m.alive && !exclude[m.id] && m.brk.canAttempt(now)
+			return m.alive && !exclude[m.id] && !exclude[m.url] && m.brk.canAttempt(now)
 		}
 		var best *member
 		candidates := false

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -41,33 +38,10 @@ type ClaimAck struct {
 // StealOnce asks a coordinator for one pending shard. It returns
 // (nil, "", nil) when nothing is stealable right now (HTTP 204).
 func StealOnce(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) (*ShardRequest, string, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(JoinRequest{URL: selfURL})
-	if err != nil {
-		return nil, "", fmt.Errorf("cluster: encode steal request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+StealPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, "", fmt.Errorf("cluster: build steal request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, "", fmt.Errorf("cluster: steal: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil, "", nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
 	var sr StealResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, "", fmt.Errorf("cluster: decode steal response: %w", err)
+	ok, err := postJSON(ctx, client, coordinatorURL, StealPath, "steal", JoinRequest{URL: selfURL}, &sr)
+	if err != nil || !ok {
+		return nil, "", err
 	}
 	if sr.Deadline != "" {
 		// The deadline rides back to the caller through the request so the
@@ -82,30 +56,9 @@ func StealOnce(ctx context.Context, client *http.Client, coordinatorURL, selfURL
 
 // DeliverClaim posts a stolen shard's result back to the coordinator.
 func DeliverClaim(ctx context.Context, client *http.Client, coordinatorURL, token string, resp *ShardResponse) (ClaimAck, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(ClaimResult{Token: token, Response: resp})
-	if err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: encode claim result: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+ClaimsPath, bytes.NewReader(body))
-	if err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: build claim delivery: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := client.Do(req)
-	if err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: deliver claim: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return ClaimAck{}, &StatusError{Code: httpResp.StatusCode, Msg: readErrorBody(httpResp.Body)}
-	}
 	var ack ClaimAck
-	if err := json.NewDecoder(httpResp.Body).Decode(&ack); err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: decode claim ack: %w", err)
+	if _, err := postJSON(ctx, client, coordinatorURL, ClaimsPath, "claim delivery", ClaimResult{Token: token, Response: resp}, &ack); err != nil {
+		return ClaimAck{}, err
 	}
 	return ack, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -56,9 +57,12 @@ func NewWorker(maxInFlight int) *Worker {
 func (w *Worker) MaxInFlight() int { return w.max }
 
 // ShardHandler serves POST /v1/cluster/shards: decode a ShardRequest,
-// run the replica range through the resilient shard runner, and return
-// the full per-replica results. Cancelling the request (the coordinator
-// failing over, or the job being cancelled) cancels the simulation.
+// take an execution slot, run the replica range through the resilient
+// shard runner, and return the full per-replica results. Admission comes
+// before validation, so a refused request costs no spec build; an
+// admitted one that fails validation still gets 400. Cancelling the
+// request (the coordinator failing over, or the job being cancelled)
+// cancels the simulation.
 func (w *Worker) ShardHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -74,38 +78,26 @@ func (w *Worker) ShardHandler() http.Handler {
 			writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
 			return
 		}
-		norm, err := req.Spec.Normalized()
-		if err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
-			return
-		}
-		req.Spec = norm
-		if err := req.Validate(); err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
-			return
-		}
 		select {
 		case w.sem <- struct{}{}:
 		default:
 			w.rejected.Add(1)
 			// The priority rides the spec across the wire: a rejected
 			// interactive shard is invited back sooner than a batch one.
-			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, norm.Class())
+			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, req.Spec.Class())
 			writeJSONError(rw, http.StatusTooManyRequests,
 				fmt.Errorf("cluster: worker at capacity (%d shards in flight)", w.max))
 			return
 		}
 		defer func() { <-w.sem }()
 
-		if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
-			if _, err := time.Parse(time.RFC3339Nano, hdr); err != nil {
-				writeJSONError(rw, http.StatusBadRequest,
-					fmt.Errorf("cluster: bad %s header %q: %v", DeadlineHeader, hdr, err))
-				return
-			}
-			req.deadline = hdr
-		}
+		req.deadline = r.Header.Get(DeadlineHeader)
 		resp, err := w.execute(r.Context(), &req)
+		var bad *badRequestError
+		if errors.As(err, &bad) {
+			writeJSONError(rw, http.StatusBadRequest, err)
+			return
+		}
 		if err != nil {
 			w.failed.Add(1)
 			writeJSONError(rw, http.StatusInternalServerError, err)
@@ -117,28 +109,37 @@ func (w *Worker) ShardHandler() http.Handler {
 	})
 }
 
-// execute runs one (already admitted, normalised) shard request to a
-// wire response, bounding the simulation by the request's propagated
-// deadline. It is the shared execution path of pushed shards
-// (ShardHandler) and pulled ones (StealLoop); the caller holds the
-// admission slot.
+// badRequestError marks a shard request that failed validation.
+type badRequestError struct{ err error }
+
+func (e *badRequestError) Error() string { return e.err.Error() }
+func (e *badRequestError) Unwrap() error { return e.err }
+
+// execute validates one admitted shard request, builds its spec, and
+// runs the replica range to a wire response, bounded by the request's
+// propagated deadline. It is the single validate-and-build step of
+// pushed shards (ShardHandler) and pulled ones (StealLoop); the caller
+// holds the admission slot. A request that fails validation returns a
+// *badRequestError.
 func (w *Worker) execute(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
 	norm, err := req.Spec.Normalized()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = (&ShardRequest{Spec: norm, First: req.First, Count: req.Count}).Validate()
 	}
-	if err := (&ShardRequest{Spec: norm, First: req.First, Count: req.Count}).Validate(); err != nil {
-		return nil, err
+	var dl time.Time
+	if err == nil && req.deadline != "" {
+		if dl, err = time.Parse(time.RFC3339Nano, req.deadline); err != nil {
+			err = fmt.Errorf("cluster: bad shard deadline %q: %v", req.deadline, err)
+		}
+	}
+	if err != nil {
+		return nil, &badRequestError{err}
 	}
 	sys, mech, wl, err := norm.Build()
 	if err != nil {
 		return nil, err
 	}
-	if req.deadline != "" {
-		dl, err := time.Parse(time.RFC3339Nano, req.deadline)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad shard deadline %q: %v", req.deadline, err)
-		}
+	if !dl.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, dl)
 		defer cancel()

@@ -65,7 +65,7 @@ func TestParsePolicyRejectsUnknown(t *testing.T) {
 func TestSubmitJobRoundTrip(t *testing.T) {
 	svc := service.New(service.Config{QueueCapacity: 4, Workers: 1, CacheCapacity: 4})
 	defer shutdownService(t, svc)
-	srv := httptest.NewServer(service.NewHandler(svc))
+	srv := httptest.NewServer(service.NewHandlerWith(svc, service.HandlerConfig{}))
 	defer srv.Close()
 
 	spec := service.Spec{
@@ -117,7 +117,7 @@ func TestSubmitJobRoundTrip(t *testing.T) {
 func TestSubmitJobBadSpec(t *testing.T) {
 	svc := service.New(service.Config{QueueCapacity: 4, Workers: 1, CacheCapacity: 4})
 	defer shutdownService(t, svc)
-	srv := httptest.NewServer(service.NewHandler(svc))
+	srv := httptest.NewServer(service.NewHandlerWith(svc, service.HandlerConfig{}))
 	defer srv.Close()
 
 	_, err := submitJob(context.Background(), srv.URL, service.Spec{Workload: "no-such-workload"}, time.Minute)

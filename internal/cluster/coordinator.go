@@ -765,35 +765,34 @@ func (c *Coordinator) Snapshot() CoordinatorSnapshot {
 // text format; scrubd appends it to /metrics on coordinator nodes.
 func (c *Coordinator) WritePrometheus(out io.Writer) error {
 	s := c.Snapshot()
-	metrics := []promMetric{
-		{"scrubd_cluster_workers", "Registered workers, dead or alive.", "gauge", float64(s.Workers)},
-		{"scrubd_cluster_workers_alive", "Workers currently passing heartbeats.", "gauge", float64(s.WorkersAlive)},
-		{"scrubd_cluster_jobs_sharded_total", "Jobs executed as sharded cluster runs.", "counter", float64(s.JobsSharded)},
-		{"scrubd_cluster_jobs_local_total", "Jobs executed wholly on the coordinator.", "counter", float64(s.JobsLocal)},
-		{"scrubd_cluster_shards_dispatched_total", "Shard dispatches attempted.", "counter", float64(s.ShardsDispatched)},
-		{"scrubd_cluster_shards_completed_total", "Shards completed by workers.", "counter", float64(s.ShardsCompleted)},
-		{"scrubd_cluster_shard_failovers_total", "Shard attempts moved to another worker.", "counter", float64(s.ShardFailovers)},
-		{"scrubd_cluster_shards_local_total", "Shards executed locally as fallback.", "counter", float64(s.ShardsLocal)},
-		{"scrubd_cluster_shards_resumed_total", "Shards revived from journal checkpoints.", "counter", float64(s.ShardsResumed)},
-		{"scrubd_cluster_jobs_resumed_total", "Jobs resumed from a journaled shard plan.", "counter", float64(s.JobsResumed)},
-		{"scrubd_cluster_heartbeat_failures_total", "Failed worker health probes.", "counter", float64(s.HeartbeatFailures)},
-		{"scrubd_cluster_workers_evicted_total", "Dead workers evicted after the TTL.", "counter", float64(s.WorkersEvicted)},
-		{"scrubd_cluster_ring_version", "Consistent-hash placement epoch (bumps on join/evict).", "gauge", float64(s.RingVersion)},
-		{"scrubd_cluster_steals_served_total", "Pending shards handed to idle workers.", "counter", float64(s.StealsServed)},
-		{"scrubd_cluster_steals_won_total", "Stolen-shard results that won their range.", "counter", float64(s.StealsWon)},
-		{"scrubd_cluster_steals_lost_total", "Stolen-shard results beaten by another claim.", "counter", float64(s.StealsLost)},
-		{"scrubd_cluster_speculations_launched_total", "Straggling shards re-dispatched speculatively.", "counter", float64(s.SpeculationsLaunched)},
-		{"scrubd_cluster_speculative_wins_total", "Speculative results that won their range.", "counter", float64(s.SpeculativeWins)},
-		{"scrubd_cluster_speculative_losses_total", "Speculative results beaten by another claim.", "counter", float64(s.SpeculativeLosses)},
-		{"scrubd_cluster_duplicate_results_total", "Byte-identical losing results discarded.", "counter", float64(s.DuplicateResults)},
-		{"scrubd_cluster_integrity_failures_total", "Campaigns aborted on divergent shard results.", "counter", float64(s.IntegrityFailures)},
-		{"scrubd_cluster_gossip_answers_total", "Jobs answered from a remote node's cache.", "counter", float64(s.GossipAnswers)},
-		{"scrubd_cluster_gossip_misses_total", "Gossip lookups whose holders all failed.", "counter", float64(s.GossipMisses)},
-		{"scrubd_cluster_gossip_entries", "Fingerprints in the gossiped cache index.", "gauge", float64(s.GossipEntries)},
-		{"scrubd_cluster_gossip_sweeps_total", "Completed cache-index sweeps.", "counter", float64(s.GossipSweeps)},
-		{"scrubd_cluster_gossip_age_seconds", "Seconds since the last cache-index sweep (-1 = never).", "gauge", s.GossipAgeSeconds},
-	}
-	if err := writeProm(out, metrics); err != nil {
+	if err := httpx.WriteMetrics(out,
+		httpx.Gauge("scrubd_cluster_workers", "Registered workers, dead or alive.", float64(s.Workers)),
+		httpx.Gauge("scrubd_cluster_workers_alive", "Workers currently passing heartbeats.", float64(s.WorkersAlive)),
+		httpx.Counter("scrubd_cluster_jobs_sharded_total", "Jobs executed as sharded cluster runs.", float64(s.JobsSharded)),
+		httpx.Counter("scrubd_cluster_jobs_local_total", "Jobs executed wholly on the coordinator.", float64(s.JobsLocal)),
+		httpx.Counter("scrubd_cluster_shards_dispatched_total", "Shard dispatches attempted.", float64(s.ShardsDispatched)),
+		httpx.Counter("scrubd_cluster_shards_completed_total", "Shards completed by workers.", float64(s.ShardsCompleted)),
+		httpx.Counter("scrubd_cluster_shard_failovers_total", "Shard attempts moved to another worker.", float64(s.ShardFailovers)),
+		httpx.Counter("scrubd_cluster_shards_local_total", "Shards executed locally as fallback.", float64(s.ShardsLocal)),
+		httpx.Counter("scrubd_cluster_shards_resumed_total", "Shards revived from journal checkpoints.", float64(s.ShardsResumed)),
+		httpx.Counter("scrubd_cluster_jobs_resumed_total", "Jobs resumed from a journaled shard plan.", float64(s.JobsResumed)),
+		httpx.Counter("scrubd_cluster_heartbeat_failures_total", "Failed worker health probes.", float64(s.HeartbeatFailures)),
+		httpx.Counter("scrubd_cluster_workers_evicted_total", "Dead workers evicted after the TTL.", float64(s.WorkersEvicted)),
+		httpx.Gauge("scrubd_cluster_ring_version", "Consistent-hash placement epoch (bumps on join/evict).", float64(s.RingVersion)),
+		httpx.Counter("scrubd_cluster_steals_served_total", "Pending shards handed to idle workers.", float64(s.StealsServed)),
+		httpx.Counter("scrubd_cluster_steals_won_total", "Stolen-shard results that won their range.", float64(s.StealsWon)),
+		httpx.Counter("scrubd_cluster_steals_lost_total", "Stolen-shard results beaten by another claim.", float64(s.StealsLost)),
+		httpx.Counter("scrubd_cluster_speculations_launched_total", "Straggling shards re-dispatched speculatively.", float64(s.SpeculationsLaunched)),
+		httpx.Counter("scrubd_cluster_speculative_wins_total", "Speculative results that won their range.", float64(s.SpeculativeWins)),
+		httpx.Counter("scrubd_cluster_speculative_losses_total", "Speculative results beaten by another claim.", float64(s.SpeculativeLosses)),
+		httpx.Counter("scrubd_cluster_duplicate_results_total", "Byte-identical losing results discarded.", float64(s.DuplicateResults)),
+		httpx.Counter("scrubd_cluster_integrity_failures_total", "Campaigns aborted on divergent shard results.", float64(s.IntegrityFailures)),
+		httpx.Counter("scrubd_cluster_gossip_answers_total", "Jobs answered from a remote node's cache.", float64(s.GossipAnswers)),
+		httpx.Counter("scrubd_cluster_gossip_misses_total", "Gossip lookups whose holders all failed.", float64(s.GossipMisses)),
+		httpx.Gauge("scrubd_cluster_gossip_entries", "Fingerprints in the gossiped cache index.", float64(s.GossipEntries)),
+		httpx.Counter("scrubd_cluster_gossip_sweeps_total", "Completed cache-index sweeps.", float64(s.GossipSweeps)),
+		httpx.Gauge("scrubd_cluster_gossip_age_seconds", "Seconds since the last cache-index sweep (-1 = never).", s.GossipAgeSeconds),
+	); err != nil {
 		return err
 	}
 	// Per-worker labeled series: breaker position and transport retries.

@@ -709,7 +709,7 @@ func TestGossipAnswersWholeJob(t *testing.T) {
 	// A node whose cache already holds the job.
 	svc := service.New(service.Config{})
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
-	sub, err := svc.Submit(spec)
+	sub, err := svc.SubmitWith(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatalf("seed submit: %v", err)
 	}
@@ -728,7 +728,7 @@ func TestGossipAnswersWholeJob(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/", service.NewHandler(svc))
+	mux.Handle("/", service.NewHandlerWith(svc, service.HandlerConfig{}))
 	mux.HandleFunc(HealthPath, func(rw http.ResponseWriter, r *http.Request) { rw.WriteHeader(http.StatusOK) })
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

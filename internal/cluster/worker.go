@@ -196,36 +196,19 @@ func (w *Worker) Snapshot() WorkerSnapshot {
 // format; scrubd appends it to /metrics on worker nodes.
 func (w *Worker) WritePrometheus(out io.Writer) error {
 	s := w.Snapshot()
-	metrics := []promMetric{
-		{"scrubd_cluster_worker_shards_executed_total", "Shards executed successfully.", "counter", float64(s.ShardsExecuted)},
-		{"scrubd_cluster_worker_shards_failed_total", "Shards whose execution failed.", "counter", float64(s.ShardsFailed)},
-		{"scrubd_cluster_worker_shards_rejected_total", "Shards rejected at capacity.", "counter", float64(s.ShardsRejected)},
-		{"scrubd_cluster_worker_shards_busy", "Shards currently executing.", "gauge", float64(s.ShardsBusy)},
-		{"scrubd_cluster_worker_max_inflight", "Concurrent shard bound.", "gauge", float64(s.MaxInFlight)},
-		{"scrubd_cluster_worker_shards_interactive_total", "Interactive-class shards executed.", "counter", float64(s.ShardsInteractive)},
-		{"scrubd_cluster_worker_shards_normal_total", "Normal-class shards executed.", "counter", float64(s.ShardsNormal)},
-		{"scrubd_cluster_worker_shards_batch_total", "Batch-class shards executed.", "counter", float64(s.ShardsBatch)},
-		{"scrubd_cluster_worker_steals_claimed_total", "Pending shards claimed from the coordinator.", "counter", float64(s.StealsClaimed)},
-		{"scrubd_cluster_worker_steals_executed_total", "Stolen shards executed and delivered.", "counter", float64(s.StealsExecuted)},
-		{"scrubd_cluster_worker_steals_won_total", "Stolen-shard deliveries that won their range.", "counter", float64(s.StealsWon)},
-	}
-	return writeProm(out, metrics)
-}
-
-// promMetric is one Prometheus text-exposition sample.
-type promMetric struct {
-	name, help, typ string
-	value           float64
-}
-
-func writeProm(out io.Writer, metrics []promMetric) error {
-	for _, m := range metrics {
-		if _, err := fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			m.name, m.help, m.name, m.typ, m.name, m.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	return httpx.WriteMetrics(out,
+		httpx.Counter("scrubd_cluster_worker_shards_executed_total", "Shards executed successfully.", float64(s.ShardsExecuted)),
+		httpx.Counter("scrubd_cluster_worker_shards_failed_total", "Shards whose execution failed.", float64(s.ShardsFailed)),
+		httpx.Counter("scrubd_cluster_worker_shards_rejected_total", "Shards rejected at capacity.", float64(s.ShardsRejected)),
+		httpx.Gauge("scrubd_cluster_worker_shards_busy", "Shards currently executing.", float64(s.ShardsBusy)),
+		httpx.Gauge("scrubd_cluster_worker_max_inflight", "Concurrent shard bound.", float64(s.MaxInFlight)),
+		httpx.Counter("scrubd_cluster_worker_shards_interactive_total", "Interactive-class shards executed.", float64(s.ShardsInteractive)),
+		httpx.Counter("scrubd_cluster_worker_shards_normal_total", "Normal-class shards executed.", float64(s.ShardsNormal)),
+		httpx.Counter("scrubd_cluster_worker_shards_batch_total", "Batch-class shards executed.", float64(s.ShardsBatch)),
+		httpx.Counter("scrubd_cluster_worker_steals_claimed_total", "Pending shards claimed from the coordinator.", float64(s.StealsClaimed)),
+		httpx.Counter("scrubd_cluster_worker_steals_executed_total", "Stolen shards executed and delivered.", float64(s.StealsExecuted)),
+		httpx.Counter("scrubd_cluster_worker_steals_won_total", "Stolen-shard deliveries that won their range.", float64(s.StealsWon)),
+	)
 }
 
 func writeJSONError(rw http.ResponseWriter, status int, err error) {

@@ -236,7 +236,7 @@ func (s *Service) Admission() AdmissionView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := AdmissionView{
-		State:         s.shedStateLocked().String(),
+		State:         s.shedStateFor(0).String(),
 		QueueDepth:    s.pq.len(),
 		QueueCapacity: s.queueCap,
 		Interactive:   s.pq.classDepth(ClassInteractive),
@@ -249,10 +249,4 @@ func (s *Service) Admission() AdmissionView {
 		v.Watermarks = &wm
 	}
 	return v
-}
-
-// shedStateLocked computes the shedding position from the live queue
-// occupancy. Caller holds s.mu.
-func (s *Service) shedStateLocked() ShedState {
-	return s.shedStateFor(0)
 }

@@ -74,12 +74,6 @@ type Health struct {
 	Admission *AdmissionView `json:"admission,omitempty"`
 }
 
-// NewHandler exposes a standalone Service over HTTP/JSON. See
-// NewHandlerWith for the endpoint list.
-func NewHandler(s *Service) http.Handler {
-	return NewHandlerWith(s, HandlerConfig{})
-}
-
 // NewHandlerWith exposes a Service over HTTP/JSON:
 //
 //	POST   /v1/jobs        submit a Spec → Submission (202; 200 on cache
@@ -118,11 +112,7 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 			writeSubmitError(w, s, err)
 			return
 		}
-		status := http.StatusAccepted
-		if sub.CacheHit {
-			status = http.StatusOK
-		}
-		writeJSON(w, status, sub)
+		writeJSON(w, submittedStatus(sub), sub)
 	})
 	mux.HandleFunc("POST /v1/jobs/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchSubmitRequest
@@ -149,10 +139,7 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 				continue
 			}
 			item.Submission = res.Submission
-			item.Status = http.StatusAccepted
-			if res.Submission.CacheHit {
-				item.Status = http.StatusOK
-			}
+			item.Status = submittedStatus(res.Submission)
 			resp.Accepted++
 		}
 		// The batch itself always answers 200: each spec carries its own
@@ -253,6 +240,15 @@ type BatchSubmitItem struct {
 type BatchSubmitResponse struct {
 	Results  []BatchSubmitItem `json:"results"`
 	Accepted int               `json:"accepted"`
+}
+
+// submittedStatus is the status an accepted submission earns: 200 when
+// it was answered from the cache, 202 when its job is queued or running.
+func submittedStatus(sub Submission) int {
+	if sub.CacheHit {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
 }
 
 // submitErrorStatus maps an admission error to the status it earns.

@@ -17,7 +17,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(NewHandlerWith(s, HandlerConfig{}))
 	t.Cleanup(func() {
 		ts.Close()
 		shutdown(t, s)
@@ -287,7 +287,7 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 
 	// A standalone handler reports its role and omits live_workers.
-	ts2 := httptest.NewServer(NewHandler(s))
+	ts2 := httptest.NewServer(NewHandlerWith(s, HandlerConfig{}))
 	t.Cleanup(ts2.Close)
 	resp2, err := http.Get(ts2.URL + "/healthz")
 	if err != nil {

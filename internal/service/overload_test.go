@@ -6,14 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/journal"
 )
 
@@ -173,7 +177,7 @@ func TestDeadlineExpiredAtAdmission(t *testing.T) {
 	t.Cleanup(func() { shutdown(t, s) })
 	late := tinySpec(1)
 	late.DeadlineAt = time.Now().Add(-time.Second).Format(time.RFC3339Nano)
-	_, err := s.Submit(late)
+	_, err := s.SubmitWith(late, SubmitOptions{})
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("expired deadline admitted (err %v)", err)
 	}
@@ -307,7 +311,7 @@ func TestQueueFullHammer(t *testing.T) {
 		return counting.run(ctx, spec)
 	}
 	s := New(Config{Workers: 2, QueueCapacity: 4, Journal: jn, Runner: runner})
-	srv := httptest.NewServer(NewHandler(s))
+	srv := httptest.NewServer(NewHandlerWith(s, HandlerConfig{}))
 	t.Cleanup(srv.Close)
 	ts := srv.URL
 
@@ -449,6 +453,24 @@ func TestHTTPBatchSubmit(t *testing.T) {
 	}
 	if br.Results[2].ID != br.Results[0].ID {
 		t.Fatalf("duplicate attached to %s, want %s", br.Results[2].ID, br.Results[0].ID)
+	}
+
+	// An expired-deadline duplicate is refused alone; its twin stands.
+	expired := tinySpec(3)
+	expired.DeadlineAt = time.Now().Add(-time.Minute).Format(time.RFC3339Nano)
+	payload, _ = json.Marshal(BatchSubmitRequest{Specs: []Spec{tinySpec(3), expired}})
+	resp3, err := http.Post(ts.URL+"/v1/jobs/batch", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var br3 BatchSubmitResponse
+	if err := json.NewDecoder(resp3.Body).Decode(&br3); err != nil {
+		t.Fatal(err)
+	}
+	if len(br3.Results) != 2 || br3.Results[0].Status != http.StatusAccepted ||
+		br3.Results[1].Status != http.StatusUnprocessableEntity {
+		t.Fatalf("expired duplicate batch: %+v, want statuses 202 then 422", br3.Results)
 	}
 
 	// Empty batch → 400.
@@ -652,5 +674,157 @@ func TestRefusalsDoNotBurnTokens(t *testing.T) {
 	}
 	if _, err := s.SubmitWith(tinySpec(20), opts); err != nil {
 		t.Fatalf("submit after capacity returned: %v, want the saved token to admit it", err)
+	}
+}
+
+// TestBatchEqualsSingles pins the batch contract: SubmitBatch gives each
+// spec the verdict it would have received sent alone by SubmitWith right
+// after its predecessors — the same error or Submission, the same jobs
+// in the same states and scheduling positions, and the same counters
+// (bar the batch-endpoint ones). Each case runs on twin services, one
+// fed spec by spec and one batch by batch, both with their one worker
+// parked so nothing leaves the queue.
+func TestBatchEqualsSingles(t *testing.T) {
+	past := time.Now().Add(-time.Hour).Format(time.RFC3339Nano)
+	soon := time.Now().Add(time.Hour).Format(time.RFC3339Nano)
+	late := time.Now().Add(2 * time.Hour).Format(time.RFC3339Nano)
+	withDeadline := func(s Spec, at string) Spec {
+		s.DeadlineAt = at
+		return s
+	}
+	shed := DefaultShedConfig()
+	var interactive []Spec
+	for seed := uint64(11); seed <= 19; seed++ {
+		interactive = append(interactive, prioSpec(seed, PriorityInteractive))
+	}
+	type batch struct {
+		tenant string
+		specs  []Spec
+	}
+	type tcase struct {
+		name    string
+		cfg     Config
+		batches []batch
+	}
+	cases := []tcase{
+		{
+			// The duplicate's dead deadline is refused, not attached to
+			// (and reaping) the live job.
+			name:    "expired-duplicate",
+			cfg:     Config{QueueCapacity: 8},
+			batches: []batch{{specs: []Spec{tinySpec(1), withDeadline(tinySpec(1), past)}}},
+		},
+		{
+			// Every duplicate spends its own token.
+			name:    "token-per-duplicate",
+			cfg:     Config{QueueCapacity: 8, TenantRate: 0.001, TenantBurst: 2},
+			batches: []batch{{tenant: "a", specs: []Spec{tinySpec(1), tinySpec(1), tinySpec(1)}}},
+		},
+		{
+			// Nine queued of ten is interactive-only: the batch-class
+			// duplicate is shed, not deduped.
+			name:    "shed-duplicate",
+			cfg:     Config{QueueCapacity: 10, Shed: &shed},
+			batches: []batch{{specs: append(interactive, prioSpec(19, PriorityBatch))}},
+		},
+	}
+	priorities := []string{"", PriorityInteractive, PriorityNormal, PriorityBatch}
+	deadlines := []string{"", past, soon, late}
+	// Random mixes of duplicates, classes and deadlines from two tenants:
+	// odd seeds with burst-2 token buckets, even seeds unlimited, so the
+	// queue also fills through every shed stage to queue-full.
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		tc := tcase{
+			name: fmt.Sprintf("random-%d", seed),
+			cfg:  Config{QueueCapacity: 8, Shed: &shed},
+		}
+		if seed%2 == 1 {
+			tc.cfg.TenantRate, tc.cfg.TenantBurst = 0.001, 2
+		}
+		for b := 0; b < 6; b++ {
+			bt := batch{tenant: []string{"a", "b"}[b%2]}
+			for n := 1 + rng.IntN(6); n > 0; n-- {
+				sp := prioSpec(uint64(1+rng.IntN(9)), priorities[rng.IntN(len(priorities))])
+				bt.specs = append(bt.specs, withDeadline(sp, deadlines[rng.IntN(len(deadlines))]))
+			}
+			tc.batches = append(tc.batches, bt)
+		}
+		cases = append(cases, tc)
+	}
+
+	// twin starts a service whose one worker is parked on a job no case
+	// submits, with seed 6's result already cached.
+	twin := func(cfg Config) *Service {
+		r := newBlockingRunner()
+		cfg.Workers, cfg.Runner = 1, r.run
+		s := New(cfg)
+		t.Cleanup(func() {
+			close(r.release)
+			shutdown(t, s)
+		})
+		if _, err := s.SubmitWith(tinySpec(1000), SubmitOptions{Tenant: "parker"}); err != nil {
+			t.Fatal(err)
+		}
+		<-r.started
+		s.mu.Lock()
+		s.cache.add(mustNormalize(t, tinySpec(6)).Fingerprint(), []byte(`{}`))
+		s.mu.Unlock()
+		return s
+	}
+	verdict := func(res BatchResult) string {
+		for _, sentinel := range []error{ErrRateLimited, ErrShedding, ErrDeadlineExpired, ErrQueueFull, ErrClosed} {
+			if errors.Is(res.Err, sentinel) {
+				return sentinel.Error()
+			}
+		}
+		if res.Err != nil {
+			return res.Err.Error()
+		}
+		return fmt.Sprintf("%+v", res.Submission)
+	}
+	jobs := func(s *Service) []string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var out []string
+		for _, j := range s.jobs {
+			out = append(out, fmt.Sprintf("%s %s class=%v deadline=%v attached=%d cached=%v queued=%v tenant=%q",
+				j.id, j.state, j.class, j.deadline, j.attached, j.cacheHit, j.heapIdx >= 0, j.tenant))
+		}
+		sort.Strings(out)
+		return out
+	}
+	counters := func(s *Service) Snapshot {
+		snap := s.Snapshot()
+		snap.BatchRequests, snap.BatchSpecs, snap.Engine = 0, 0, engine.Totals{}
+		return snap
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			single, batched := twin(tc.cfg), twin(tc.cfg)
+			var want, got []string
+			for _, bt := range tc.batches {
+				opts := SubmitOptions{Tenant: bt.tenant}
+				for _, sp := range bt.specs {
+					sub, err := single.SubmitWith(sp, opts)
+					want = append(want, verdict(BatchResult{Submission: sub, Err: err}))
+				}
+				for _, res := range batched.SubmitBatch(bt.specs, opts) {
+					got = append(got, verdict(res))
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("spec %d: batch verdict %s, alone %s", i, got[i], want[i])
+				}
+			}
+			if w, g := jobs(single), jobs(batched); !slices.Equal(w, g) {
+				t.Errorf("jobs differ:\nbatch %q\nalone %q", g, w)
+			}
+			if w, g := counters(single), counters(batched); w != g {
+				t.Errorf("counters differ:\nbatch %+v\nalone %+v", g, w)
+			}
+		})
 	}
 }

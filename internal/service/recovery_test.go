@@ -28,7 +28,7 @@ func TestJournalRecoveryReExecutesIncomplete(t *testing.T) {
 	spec := mustNormalize(t, tinySpec(3))
 
 	// Incarnation one accepts the job and "crashes" before running it:
-	// write the submission record exactly as Submit does, then stop.
+	// write the submission record exactly as SubmitWith does, then stop.
 	jn, _ := openJournal(t, dir)
 	specJSON, _ := json.Marshal(spec)
 	if err := jn.Append(journal.Record{
@@ -218,7 +218,7 @@ func TestCancelDuringRecoveryWins(t *testing.T) {
 
 // TestJournalWriteAheadOrdering checks the submission barrier: the
 // journal holds the submitted record even if the daemon dies immediately
-// after Submit returns — i.e. the record is on disk before the 202.
+// after SubmitWith returns — i.e. the record is on disk before the 202.
 func TestJournalWriteAheadOrdering(t *testing.T) {
 	dir := t.TempDir()
 	spec := mustNormalize(t, tinySpec(17))
@@ -232,7 +232,7 @@ func TestJournalWriteAheadOrdering(t *testing.T) {
 	_, rec := openJournalReadOnly(t, dir)
 	js := rec.Job(sub.ID)
 	if js == nil {
-		t.Fatalf("submitted record for %s not durable at Submit return", sub.ID)
+		t.Fatalf("submitted record for %s not durable at SubmitWith return", sub.ID)
 	}
 	if !js.Incomplete() {
 		t.Fatalf("fresh submission replayed as terminal %q", js.State)

@@ -86,6 +86,7 @@ type job struct {
 	cacheHit    bool
 	recovered   bool
 	attached    int // extra submissions deduped onto this job
+	escalations int // attached submissions that raised the job's class
 	submitted   time.Time
 	started     time.Time
 	finished    time.Time
@@ -201,7 +202,12 @@ type Service struct {
 	nextID    int
 	closed    bool
 
-	counters counters
+	// stats holds the operational counters, kept under mu; Snapshot
+	// copies it and fills in the gauges. wall sums finished executions'
+	// wall time.
+	stats Snapshot
+	wall  time.Duration
+
 	wg       sync.WaitGroup
 	baseCtx  context.Context
 	baseStop context.CancelFunc
@@ -264,11 +270,6 @@ type SubmitOptions struct {
 	Tenant string
 }
 
-// Submit is SubmitWith under the anonymous tenant.
-func (s *Service) Submit(spec Spec) (Submission, error) {
-	return s.SubmitWith(spec, SubmitOptions{})
-}
-
 // SubmitWith runs the full admission pipeline for one spec: normalise
 // and fingerprint, reject already-dead deadlines, then answer from the
 // cache, attach to an identical in-flight job, or — shed state and
@@ -278,34 +279,99 @@ func (s *Service) Submit(spec Spec) (Submission, error) {
 // does not burn its rate budget on refusals. Rejections map to typed
 // errors (ErrRateLimited, ErrDeadlineExpired, ErrShedding,
 // ErrQueueFull, ErrClosed) that the HTTP layer turns into statuses.
+// It is a batch of one, admitted by the same path as SubmitBatch.
 func (s *Service) SubmitWith(spec Spec, opts SubmitOptions) (Submission, error) {
-	norm, err := spec.Normalized()
-	if err != nil {
-		return Submission{}, err
+	res := s.submit([]Spec{spec}, opts)[0]
+	return res.Submission, res.Err
+}
+
+// BatchResult is one spec's outcome within a batch submission: either a
+// Submission or the admission error that refused it.
+type BatchResult struct {
+	Submission Submission
+	Err        error
+}
+
+// SubmitBatch admits many specs in one pass under one lock hold and —
+// the point — one journal group commit: every spec that needs fresh work
+// is written ahead in a single AppendBatch (one fsync for the whole
+// batch, not one per job) before any of them is enqueued. Each spec
+// passes through exactly the admission SubmitWith runs, in order, so
+// each gets the verdict it would have received sent alone right after
+// its predecessors: a duplicate of an earlier spec in the same batch
+// attaches to that spec's job, and is still subject to the deadline,
+// shed and token-bucket checks. A journal failure refuses every job
+// riding on that commit — the fresh jobs and every spec deduped onto
+// one — while cache hits and dedups against already-journaled in-flight
+// jobs stand.
+func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
+	s.mu.Lock()
+	s.stats.BatchRequests++
+	s.stats.BatchSpecs += int64(len(specs))
+	s.mu.Unlock()
+	return s.submit(specs, opts)
+}
+
+// submit is the one admission path from spec to queue. Specs are
+// normalised outside the lock, then admitted in order under s.mu. A
+// fresh job is in s.inflight from the moment it is minted, so a later
+// duplicate attaches to it like to any in-flight job; no one else sees
+// it before the group commit, because s.mu is held through it.
+// Write-ahead: the fresh jobs must be durable before any of them is
+// acknowledged, or a crash after the 202 would silently drop them.
+func (s *Service) submit(specs []Spec, opts SubmitOptions) []BatchResult {
+	results := make([]BatchResult, len(specs))
+	norms := make([]Spec, len(specs))
+	fps := make([]string, len(specs))
+	for i, sp := range specs {
+		if norms[i], results[i].Err = sp.Normalized(); results[i].Err == nil {
+			fps[i] = norms[i].Fingerprint()
+		}
 	}
-	fp := norm.Fingerprint()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sub, j, err := s.admitLocked(norm, fp, opts, 0)
-	if err != nil || j == nil {
-		return sub, err
+	var fresh []*job
+	for i, norm := range norms {
+		if results[i].Err != nil {
+			continue
+		}
+		sub, j, err := s.admitLocked(norm, fps[i], opts, len(fresh))
+		if j != nil {
+			fresh = append(fresh, j)
+		}
+		results[i] = BatchResult{Submission: sub, Err: err}
 	}
-	// Write-ahead: the submission record must be durable before the job
-	// is acknowledged, or a crash after the 202 would silently drop it.
-	if err := s.journalSubmitted(j); err != nil {
-		return Submission{}, err
+	if err := s.journalSubmitted(fresh); err != nil {
+		// The barrier failed: no result riding on a fresh job may stand.
+		// Those are exactly the accepted results whose job never reached
+		// s.jobs; the dedup and escalation counts their attaches added
+		// are taken back.
+		for _, j := range fresh {
+			delete(s.inflight, j.fingerprint)
+			s.stats.JobsAccepted -= int64(j.attached)
+			s.stats.Deduped -= int64(j.attached)
+			s.stats.Escalated -= int64(j.escalations)
+		}
+		for i, res := range results {
+			if res.Err == nil && s.jobs[res.Submission.ID] == nil {
+				results[i] = BatchResult{Err: err}
+			}
+		}
+		return results
 	}
-	s.enqueueLocked(j)
-	return Submission{ID: j.id, Fingerprint: fp, State: StateQueued}, nil
+	for _, j := range fresh {
+		s.enqueueLocked(j)
+	}
+	return results
 }
 
 // admitLocked decides one spec's fate. It returns either a terminal
 // Submission (cache hit or dedup attach; job == nil), or a freshly
-// minted job the caller must journal and enqueue, or an admission error.
-// pending is how many sibling jobs the caller has admitted but not yet
-// enqueued (the batch path), counted against watermarks and capacity.
-// Caller holds s.mu.
+// minted job, already registered in s.inflight, that the caller must
+// journal and enqueue, or an admission error.
+// pending is how many jobs the caller has admitted but not yet enqueued,
+// counted against watermarks and capacity. Caller holds s.mu.
 func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending int) (Submission, *job, error) {
 	if s.closed {
 		return Submission{}, nil, ErrClosed
@@ -316,7 +382,7 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 		return Submission{}, nil, err
 	}
 	if hasDeadline && !deadline.After(s.now()) {
-		s.counters.deadlineRejected.Add(1)
+		s.stats.DeadlineRejected++
 		return Submission{}, nil, fmt.Errorf("%w (deadline_at %s)", ErrDeadlineExpired, norm.DeadlineAt)
 	}
 	state := s.shedStateFor(pending)
@@ -334,7 +400,7 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 			return nil
 		}
 		if ok, wait := s.tenants.take(opts.Tenant, s.now()); !ok {
-			s.counters.rateLimited.Add(1)
+			s.stats.RateLimited++
 			return &RateLimitError{Tenant: opts.Tenant, Wait: wait}
 		}
 		return nil
@@ -350,8 +416,8 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 			submitted: s.now(), finished: s.now(), result: data,
 		}
 		s.jobs[j.id] = j
-		s.counters.accepted.Add(1)
-		s.counters.cacheHits.Add(1)
+		s.stats.JobsAccepted++
+		s.stats.CacheHits++
 		return Submission{ID: j.id, Fingerprint: fp, State: StateDone, CacheHit: true}, nil, nil
 	}
 	if cur, ok := s.inflight[fp]; ok {
@@ -365,10 +431,10 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 		s.countShed(class)
 		return Submission{}, nil, &ShedError{State: state, Class: class}
 	}
-	// Submit, SubmitBatch, and Recover all enqueue under s.mu, so this
-	// occupancy check cannot race another producer.
+	// Submissions and Recover all enqueue under s.mu, so this occupancy
+	// check cannot race another producer.
 	if s.pq.len()+pending >= s.queueCap {
-		s.counters.rejected.Add(1)
+		s.stats.JobsRejected++
 		return Submission{}, nil, fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.queueCap)
 	}
 	if err := takeToken(); err != nil {
@@ -383,18 +449,21 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 	if hasDeadline {
 		j.deadline = deadline
 	}
-	return Submission{}, j, nil
+	s.inflight[fp] = j
+	return Submission{ID: j.id, Fingerprint: fp, State: StateQueued}, j, nil
 }
 
 // attachLocked dedups a submission onto an identical queued or running
 // job, escalating the queued job's scheduling position when the new
 // submission outranks it: the class rises to the higher of the two and
 // the deadline tightens to the earlier — whoever is waiting hardest sets
-// the pace for the shared run. Caller holds s.mu.
+// the pace for the shared run. A job still awaiting its group commit is
+// queued but not yet in the heap; its fields are simply updated. Caller
+// holds s.mu.
 func (s *Service) attachLocked(cur *job, class Class, deadline time.Time, hasDeadline bool) {
 	cur.attached++
-	s.counters.accepted.Add(1)
-	s.counters.deduped.Add(1)
+	s.stats.JobsAccepted++
+	s.stats.Deduped++
 	if cur.state != StateQueued {
 		return
 	}
@@ -406,7 +475,8 @@ func (s *Service) attachLocked(cur *job, class Class, deadline time.Time, hasDea
 	inHeap := s.pq.remove(cur)
 	if escalate {
 		cur.class = class
-		s.counters.escalated.Add(1)
+		cur.escalations++
+		s.stats.Escalated++
 	}
 	if tighten {
 		cur.deadline = deadline
@@ -429,11 +499,11 @@ func (s *Service) shedStateFor(pending int) ShedState {
 func (s *Service) countShed(class Class) {
 	switch class {
 	case ClassInteractive:
-		s.counters.shedInteractive.Add(1)
+		s.stats.ShedInteractive++
 	case ClassNormal:
-		s.counters.shedNormal.Add(1)
+		s.stats.ShedNormal++
 	default:
-		s.counters.shedBatch.Add(1)
+		s.stats.ShedBatch++
 	}
 }
 
@@ -442,139 +512,18 @@ func (s *Service) countShed(class Class) {
 func (s *Service) enqueueLocked(j *job) {
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	s.jobs[j.id] = j
-	s.inflight[j.fingerprint] = j
 	s.pq.push(j)
-	s.counters.accepted.Add(1)
-	s.counters.cacheMisses.Add(1)
+	s.stats.JobsAccepted++
+	s.stats.CacheMisses++
 	s.queueCond.Signal()
 }
 
-// BatchResult is one spec's outcome within a batch submission: either a
-// Submission or the admission error that refused it.
-type BatchResult struct {
-	Submission Submission
-	Err        error
-}
-
-// SubmitBatch admits many specs in one pass under one lock hold and —
-// the point — one journal group commit: every spec that needs fresh work
-// is written ahead in a single AppendBatch (one fsync for the whole
-// batch, not one per job) before any of them is enqueued. Specs are
-// otherwise admitted exactly as SubmitWith would, in order, including
-// dedup against earlier specs of the same batch. A journal failure
-// refuses every job riding on that commit — the fresh jobs and every
-// sibling deduped onto one — while cache hits and dedups against
-// already-journaled in-flight jobs stand.
-func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
-	results := make([]BatchResult, len(specs))
-	norms := make([]Spec, len(specs))
-	fps := make([]string, len(specs))
-	for i, sp := range specs {
-		n, err := sp.Normalized()
-		if err != nil {
-			results[i] = BatchResult{Err: err}
-			continue
-		}
-		norms[i], fps[i] = n, n.Fingerprint()
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters.batchRequests.Add(1)
-	s.counters.batchSpecs.Add(int64(len(specs)))
-	var fresh []*job
-	var freshIdx []int
-	pending := make(map[string]*job)
-	// Sibling dedups share their pending job's fate: they are recorded
-	// here (result indices per fingerprint) and counted only after the
-	// group commit succeeds, so a journal failure can take them back.
-	sibIdx := make(map[string][]int)
-	var sibDeduped, sibEscalated int64
-	for i := range specs {
-		if results[i].Err != nil {
-			continue
-		}
-		if cur, ok := pending[fps[i]]; ok {
-			// Dedup against a sibling admitted earlier in this batch: the
-			// job exists but is not yet in the heap, so escalation just
-			// updates its fields.
-			cur.attached++
-			sibDeduped++
-			class := norms[i].Class()
-			if class > cur.class {
-				cur.class = class
-				sibEscalated++
-			}
-			if dl, ok, _ := norms[i].DeadlineTime(); ok && (cur.deadline.IsZero() || dl.Before(cur.deadline)) {
-				cur.deadline = dl
-			}
-			sibIdx[fps[i]] = append(sibIdx[fps[i]], i)
-			results[i] = BatchResult{Submission: Submission{
-				ID: cur.id, Fingerprint: cur.fingerprint, State: StateQueued, Deduped: true,
-			}}
-			continue
-		}
-		sub, j, err := s.admitLocked(norms[i], fps[i], opts, len(fresh))
-		if err != nil {
-			results[i] = BatchResult{Err: err}
-			continue
-		}
-		if j == nil {
-			results[i] = BatchResult{Submission: sub}
-			continue
-		}
-		pending[fps[i]] = j
-		fresh = append(fresh, j)
-		freshIdx = append(freshIdx, i)
-		results[i] = BatchResult{Submission: Submission{ID: j.id, Fingerprint: j.fingerprint, State: StateQueued}}
-	}
-	if len(fresh) == 0 {
-		return results
-	}
-	if err := s.journalSubmittedBatch(fresh); err != nil {
-		// The write-ahead barrier failed for the whole group: none of
-		// these jobs may be acknowledged — including the siblings deduped
-		// onto them, whose shared job is never journaled or enqueued.
-		for _, i := range freshIdx {
-			results[i] = BatchResult{Err: err}
-		}
-		for _, j := range fresh {
-			for _, i := range sibIdx[j.fingerprint] {
-				results[i] = BatchResult{Err: err}
-			}
-		}
-		return results
-	}
-	s.counters.accepted.Add(sibDeduped)
-	s.counters.deduped.Add(sibDeduped)
-	s.counters.escalated.Add(sibEscalated)
-	for _, j := range fresh {
-		s.enqueueLocked(j)
-	}
-	return results
-}
-
-// journalSubmitted write-aheads a fresh job's acceptance. A nil journal
-// is a no-op; an append failure rejects the submission (the daemon must
-// not acknowledge work it cannot make durable).
-func (s *Service) journalSubmitted(j *job) error {
-	if s.journal == nil {
-		return nil
-	}
-	specJSON, err := json.Marshal(j.spec)
-	if err != nil {
-		return fmt.Errorf("service: encode spec for journal: %w", err)
-	}
-	return s.journal.Append(journal.Record{
-		Type: journal.TypeSubmitted, Job: j.id,
-		Fingerprint: j.fingerprint, Spec: specJSON,
-	})
-}
-
-// journalSubmittedBatch write-aheads a whole batch's acceptance as one
-// group commit: N records, one fsync.
-func (s *Service) journalSubmittedBatch(jobs []*job) error {
-	if s.journal == nil {
+// journalSubmitted write-aheads fresh jobs' acceptance as one group
+// commit: N records, one fsync. No journal or no jobs is a no-op; an
+// append failure rejects the submissions (the daemon must not
+// acknowledge work it cannot make durable).
+func (s *Service) journalSubmitted(jobs []*job) error {
+	if s.journal == nil || len(jobs) == 0 {
 		return nil
 	}
 	recs := make([]journal.Record, 0, len(jobs))
@@ -639,13 +588,13 @@ func (s *Service) dequeue() (*job, bool) {
 			if s.inflight[j.fingerprint] == j {
 				delete(s.inflight, j.fingerprint)
 			}
-			s.counters.deadlineReaped.Add(1)
-			s.counters.failed.Add(1)
+			s.stats.DeadlineReaped++
+			s.stats.JobsFailed++
 			s.journalEvent(journal.Record{Type: journal.TypeFailed, Job: j.id, Error: j.err})
 			continue
 		}
 		if aged {
-			s.counters.agedServed.Add(1)
+			s.stats.AgedServed++
 		}
 		return j, true
 	}
@@ -666,6 +615,7 @@ func (s *Service) worker() {
 		}
 		j.state = StateRunning
 		j.started = s.now()
+		s.stats.BusyWorkers++
 		spec := j.spec
 		// A sharding runner (the cluster coordinator) reports shard
 		// progress through the context; it lands in the job view.
@@ -690,9 +640,7 @@ func (s *Service) worker() {
 			cancelBudget = cancel
 		}
 
-		s.counters.busyWorkers.Add(1)
 		res, err := s.runContained(ctx, spec)
-		s.counters.busyWorkers.Add(-1)
 		cancelBudget()
 		s.finish(j, res, err)
 	}
@@ -741,9 +689,10 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 
 	s.mu.Lock()
+	s.stats.BusyWorkers--
 	j.finished = s.now()
 	if !j.started.IsZero() {
-		s.counters.wallNanosDone.Add(int64(j.finished.Sub(j.started)))
+		s.wall += j.finished.Sub(j.started)
 	}
 	if s.inflight[j.fingerprint] == j {
 		delete(s.inflight, j.fingerprint)
@@ -761,22 +710,22 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		j.state = StateDone
 		j.result = data
 		s.cache.add(j.fingerprint, data)
-		s.counters.completed.Add(1)
+		s.stats.JobsCompleted++
 		rec = journal.Record{Type: journal.TypeDone, Job: j.id, Payload: data}
 	case j.ctx.Err() != nil:
 		j.state = StateCancelled
 		j.err = err.Error()
-		s.counters.cancelled.Add(1)
+		s.stats.JobsCancelled++
 		rec = journal.Record{Type: journal.TypeCancelled, Job: j.id, Error: j.err}
 	default:
 		j.state = StateFailed
 		j.err = err.Error()
-		s.counters.failed.Add(1)
+		s.stats.JobsFailed++
 		rec = journal.Record{Type: journal.TypeFailed, Job: j.id, Error: j.err}
 	}
 	s.mu.Unlock()
 	// The terminal record is appended outside the lock: an fsync must
-	// not stall Get/List/Submit. Replay tolerates its absence (the job
+	// not stall Get/List/SubmitWith. Replay tolerates its absence (the job
 	// would simply re-run), so best-effort is sound here.
 	s.journalEvent(rec)
 }
@@ -807,7 +756,7 @@ func (s *Service) Cancel(id string) (JobView, error) {
 	if j.cancel != nil {
 		j.cancel()
 	}
-	s.counters.cancelled.Add(1)
+	s.stats.JobsCancelled++
 	// Journaled under s.mu deliberately: the cancelled record must beat
 	// any later lifecycle append for this job, so a recovery that saw
 	// this DELETE can never re-execute the job.
@@ -859,19 +808,19 @@ func (s *Service) Recover(rec *journal.Recovery) (int, error) {
 			j.finished = s.now()
 			j.result = js.Result
 			s.cache.add(j.fingerprint, j.result)
-			s.counters.restored.Add(1)
+			s.stats.JobsRestored++
 		case journal.TypeFailed:
 			j.state = StateFailed
 			j.finished = s.now()
 			j.err = js.Error
-			s.counters.restored.Add(1)
+			s.stats.JobsRestored++
 		case journal.TypeCancelled:
 			// A job cancelled before the crash recovers directly into
 			// cancelled; it must never re-execute.
 			j.state = StateCancelled
 			j.finished = s.now()
 			j.err = js.Error
-			s.counters.restored.Add(1)
+			s.stats.JobsRestored++
 		default: // submitted or started: accepted work, owed a result
 			var spec Spec
 			if err := json.Unmarshal(js.Spec, &spec); err != nil {
@@ -911,7 +860,7 @@ func (s *Service) Recover(rec *journal.Recovery) (int, error) {
 			if _, dup := s.inflight[j.fingerprint]; !dup {
 				s.inflight[j.fingerprint] = j
 			}
-			s.counters.recovered.Add(1)
+			s.stats.JobsRecovered++
 			requeued++
 		}
 		s.jobs[j.id] = j
@@ -1047,50 +996,21 @@ func ReportShardProgress(ctx context.Context, done, total int) {
 // Snapshot returns the operational counters plus queue/cache gauges.
 func (s *Service) Snapshot() Snapshot {
 	s.mu.Lock()
-	cacheSize := s.cache.len()
-	queueDepth := s.pq.len()
-	queueInteractive := s.pq.classDepth(ClassInteractive)
-	queueNormal := s.pq.classDepth(ClassNormal)
-	queueBatch := s.pq.classDepth(ClassBatch)
-	shedState := s.shedStateLocked()
+	snap := s.stats
+	snap.CacheSize = s.cache.len()
+	snap.QueueDepth = s.pq.len()
+	snap.QueueInteractive = s.pq.classDepth(ClassInteractive)
+	snap.QueueNormal = s.pq.classDepth(ClassNormal)
+	snap.QueueBatch = s.pq.classDepth(ClassBatch)
+	snap.AdmissionState = s.shedStateFor(0).String()
+	snap.JobWallSeconds = s.wall.Seconds()
 	s.mu.Unlock()
-	busy := int(s.counters.busyWorkers.Load())
-	snap := Snapshot{
-		JobsAccepted:     s.counters.accepted.Load(),
-		JobsCompleted:    s.counters.completed.Load(),
-		JobsFailed:       s.counters.failed.Load(),
-		JobsCancelled:    s.counters.cancelled.Load(),
-		JobsRejected:     s.counters.rejected.Load(),
-		JobsRecovered:    s.counters.recovered.Load(),
-		JobsRestored:     s.counters.restored.Load(),
-		CacheHits:        s.counters.cacheHits.Load(),
-		CacheMisses:      s.counters.cacheMisses.Load(),
-		Deduped:          s.counters.deduped.Load(),
-		CacheSize:        cacheSize,
-		QueueDepth:       queueDepth,
-		QueueCapacity:    s.queueCap,
-		QueueInteractive: queueInteractive,
-		QueueNormal:      queueNormal,
-		QueueBatch:       queueBatch,
-		AdmissionState:   shedState.String(),
-		RateLimited:      s.counters.rateLimited.Load(),
-		ShedBatch:        s.counters.shedBatch.Load(),
-		ShedNormal:       s.counters.shedNormal.Load(),
-		ShedInteractive:  s.counters.shedInteractive.Load(),
-		DeadlineRejected: s.counters.deadlineRejected.Load(),
-		DeadlineReaped:   s.counters.deadlineReaped.Load(),
-		AgedServed:       s.counters.agedServed.Load(),
-		Escalated:        s.counters.escalated.Load(),
-		BatchRequests:    s.counters.batchRequests.Load(),
-		BatchSpecs:       s.counters.batchSpecs.Load(),
-		Workers:          s.workers,
-		BusyWorkers:      busy,
-		JobWallSeconds:   time.Duration(s.counters.wallNanosDone.Load()).Seconds(),
-		Engine:           engine.Stats(),
-	}
+	snap.QueueCapacity = s.queueCap
+	snap.Workers = s.workers
 	if s.workers > 0 {
-		snap.WorkerUtilization = float64(busy) / float64(s.workers)
+		snap.WorkerUtilization = float64(snap.BusyWorkers) / float64(s.workers)
 	}
+	snap.Engine = engine.Stats()
 	return snap
 }
 

@@ -79,9 +79,9 @@ func waitState(t *testing.T, s *Service, id string, want State) JobView {
 
 func mustSubmit(t *testing.T, s *Service, spec Spec) Submission {
 	t.Helper()
-	sub, err := s.Submit(spec)
+	sub, err := s.SubmitWith(spec, SubmitOptions{})
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitWith: %v", err)
 	}
 	return sub
 }
@@ -123,7 +123,7 @@ func TestQueueBoundedRejection(t *testing.T) {
 	<-r.started // worker holds job 1; queue is empty again
 	mustSubmit(t, s, tinySpec(2))
 	mustSubmit(t, s, tinySpec(3))
-	if _, err := s.Submit(tinySpec(4)); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.SubmitWith(tinySpec(4), SubmitOptions{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("4th submit: err = %v, want ErrQueueFull", err)
 	}
 	if got := s.Snapshot().JobsRejected; got != 1 {
@@ -400,7 +400,7 @@ func TestShutdownDrainsThenRefuses(t *testing.T) {
 			t.Errorf("job %s = %q after drain, want done", id, v.State)
 		}
 	}
-	if _, err := s.Submit(tinySpec(99)); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitWith(tinySpec(99), SubmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after shutdown: %v, want ErrClosed", err)
 	}
 }

@@ -723,6 +723,9 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		s.stats.JobsFailed++
 		rec = journal.Record{Type: journal.TypeFailed, Job: j.id, Error: j.err}
 	}
+	// Release the job context's registration under baseCtx now that the
+	// job is terminal; the state switch above has read ctx.Err().
+	j.cancel()
 	s.mu.Unlock()
 	// The terminal record is appended outside the lock: an fsync must
 	// not stall Get/List/SubmitWith. Replay tolerates its absence (the job

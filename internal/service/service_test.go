@@ -464,3 +464,40 @@ func TestLRUCacheEviction(t *testing.T) {
 		t.Errorf("len = %d", c.len())
 	}
 }
+
+// TestTerminalJobReleasesContext checks that a job which ends done or
+// failed has its context cancelled, so it no longer stays registered
+// under the service's base context for the daemon's lifetime.
+func TestTerminalJobReleasesContext(t *testing.T) {
+	runner := func(ctx context.Context, spec Spec) (*Result, error) {
+		if spec.Seed == 13 {
+			return nil, errors.New("synthetic failure")
+		}
+		return stubResult(spec), nil
+	}
+	s := New(Config{Workers: 1, Runner: runner})
+	defer shutdown(t, s)
+	for _, c := range []struct {
+		seed uint64
+		want State
+	}{{1, StateDone}, {13, StateFailed}} {
+		id := mustSubmit(t, s, tinySpec(c.seed)).ID
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			v, _ := s.Get(id)
+			if v.State == c.want {
+				break
+			}
+			if v.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s in %q, want %q", id, v.State, c.want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.mu.Lock()
+		err := s.jobs[id].ctx.Err()
+		s.mu.Unlock()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s job's ctx.Err() = %v, want context.Canceled", c.want, err)
+		}
+	}
+}

@@ -182,13 +182,76 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 }
 
 // Exponential returns an exponential variate with the given rate (λ > 0).
+//
+// It is a 256-layer Marsaglia–Tsang ziggurat. A call draws one Uint64:
+// its low 8 bits pick a layer and its high 56 bits a magnitude within
+// the layer's width. About 97.8% of calls return from that one draw with
+// a multiply and no transcendental call. A draw landing in a layer's
+// wedge takes one more Float64 and an exp, and is rejected (and the
+// whole draw repeated) if it lies above the curve; one landing in the
+// base strip past r takes one more Float64 and returns r − ln U. So the
+// number of draws per variate is not fixed. Within a layer the output
+// grid is its width × 2⁻⁵⁶: at most 1.2e-16 in the base strip and finer
+// everywhere else, about Float64's 2⁻⁵³.
 func (r *RNG) Exponential(rate float64) float64 {
 	if rate <= 0 {
 		panic("stats: Exponential with non-positive rate")
 	}
-	u := r.Float64()
-	// 1-u is in (0,1], so Log never sees zero.
-	return -math.Log(1-u) / rate
+	for {
+		u := r.Uint64()
+		i := u & (zigLayers - 1)
+		j := u >> 8
+		x := float64(j) * zigW[i]
+		if j < zigK[i] {
+			return x / rate
+		}
+		if i == 0 {
+			// Past r the density is r + Exp(1); 1−u is in (0, 1].
+			return (zigR - math.Log(1-r.Float64())) / rate
+		}
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+			return x / rate
+		}
+	}
+}
+
+// The exponential ziggurat covers e^{−x} with 256 layers of equal area
+// zigV. Layer 0 is the base strip, [0, r] × [0, e^{−r}] plus the tail
+// past r, taken as one rectangle of width q = zigV/e^{−r}. Layer i ≥ 1
+// is the rectangle [0, x_i] × [e^{−x_i}, e^{−x_{i−1}}], with x_255 = r
+// at the bottom and x_0 = 0 at the top. Its part left of x_{i−1} lies
+// under the curve. zigR and zigV are the pair for which the recurrence
+// below closes at x_0 = 0.
+const (
+	zigLayers = 256
+	zigR      = 7.69711747013104972
+	zigV      = 3.949659822581572e-3
+)
+
+var (
+	zigK [zigLayers]uint64  // magnitudes below zigK[i] lie under the curve: x_{i−1}/x_i · 2⁵⁶
+	zigW [zigLayers]float64 // magnitude-to-x scale: layer width × 2⁻⁵⁶
+	zigF [zigLayers]float64 // e^{−x_i}, the layer's lower edge
+)
+
+func init() {
+	const scale = 1 << 56
+	q := zigV / math.Exp(-zigR)
+	zigK[0] = uint64(zigR / q * scale)
+	zigW[0] = q / scale
+	zigF[0] = 1
+	x := zigR
+	zigW[zigLayers-1] = x / scale
+	zigF[zigLayers-1] = math.Exp(-x)
+	// Equal areas: x_i·(e^{−x_{i−1}} − e^{−x_i}) = v gives x_{i−1}.
+	for i := zigLayers - 1; i > 1; i-- {
+		inner := -math.Log(zigV/x + math.Exp(-x))
+		zigK[i] = uint64(inner / x * scale)
+		x = inner
+		zigW[i-1] = x / scale
+		zigF[i-1] = math.Exp(-x)
+	}
+	zigK[1] = 0 // x_0 = 0: nothing in the top layer is certainly under the curve
 }
 
 // Poisson returns a Poisson variate with mean lambda. For small lambda it

@@ -291,3 +291,26 @@ func TestSplitIndependence(t *testing.T) {
 		t.Fatalf("split child mirrors parent (%d/64 collisions)", same)
 	}
 }
+
+// TestZigguratLayersHaveEqualArea checks the exponential ziggurat's
+// tables: the recurrence from r closes at x_0 = 0, every layer holds the
+// area v (the base strip with its tail included), and the fast-path
+// bound of layer i is x_{i−1}/x_i.
+func TestZigguratLayersHaveEqualArea(t *testing.T) {
+	width := func(i int) float64 { return zigW[i] * (1 << 56) }
+	areas := []float64{zigR*math.Exp(-zigR) + math.Exp(-zigR), width(1) * (1 - zigF[1])}
+	for i := 2; i < zigLayers; i++ {
+		areas = append(areas, width(i)*(zigF[i-1]-zigF[i]))
+		if got, want := float64(zigK[i])/(1<<56), width(i-1)/width(i); math.Abs(got-want) > 1e-15 {
+			t.Errorf("layer %d: fast bound %.17g, want %.17g", i, got, want)
+		}
+	}
+	for i, a := range areas {
+		if rel := math.Abs(a/zigV - 1); rel > 1e-11 {
+			t.Errorf("area %d = %.17g, want %.17g (relative error %.2g)", i, a, zigV, rel)
+		}
+	}
+	if zigK[1] != 0 || zigF[0] != 1 || width(zigLayers-1) != zigR {
+		t.Errorf("edges: k[1]=%d f[0]=%g x_255=%g, want 0, 1, r", zigK[1], zigF[0], width(zigLayers-1))
+	}
+}

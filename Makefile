@@ -53,17 +53,22 @@ loc:
 
 # bench refreshes the committed engine perf baseline: run the hot-loop
 # engine benchmark, the per-layer physics sampler benchmarks it is made
-# of (crossing times, weakest endurances, the normal quantile under the
-# latter) and the per-codec kernel/reference pairs with -benchmem, and
-# render them as BENCH_engine.json via cmd/benchjson. The codecs block
-# carries the kernel-vs-scalar speedup per codec, which bench-gate (and
-# CI) holds to its floors.
+# of (crossing times, at the engine benchmark's own K and standalone,
+# and the exponential spacings under them; weakest endurances and the
+# normal quantile under the latter) and the per-codec kernel/reference
+# pairs with -benchmem, and render them as BENCH_engine.json via
+# cmd/benchjson. Each benchmark runs five times and is reported by its
+# median run. The codecs block carries the kernel-vs-scalar speedup per
+# codec, which bench-gate (and CI) holds to its floors; the reconcile
+# block sets crossing sampling against an engine run. BEFORE=old.json
+# (a report made the same way on an earlier commit) adds each
+# benchmark's before and after ns/op.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkSampleCrossings|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
-		-benchmem -benchtime 2s -count 1 \
+		-bench 'BenchmarkEngineRun|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
+		-benchmem -benchtime 1s -count 5 \
 		./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/ecc ./internal/ondie | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson > BENCH_engine.json
+		$(GO) run ./cmd/benchjson $(if $(BEFORE),-before $(BEFORE)) > BENCH_engine.json
 	@echo "bench: wrote BENCH_engine.json"
 
 # bench-gate enforces the codec kernel speedup floors (BCH line decode

@@ -20,6 +20,13 @@
 // -min-secded); CI runs it after `make bench`. Ratios are gated rather
 // than wall-clock numbers because both sides of a pair run on the same
 // box in the same process, so machine noise largely cancels.
+//
+// With -before OLD.json (an earlier benchjson report, for example one
+// made on the parent commit), the output also carries a "changes" block
+// with each shared benchmark's ns/op before and after. When the run
+// holds BenchmarkEngineRun with its crossings/op metric and
+// BenchmarkEngineCrossings, a "reconcile" block multiplies the two to
+// give the crossing sampler's share of an engine run.
 package main
 
 import (
@@ -45,8 +52,35 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Metrics holds the line's custom b.ReportMetric values by unit,
+	// e.g. BenchmarkEngineRun's "crossings/op".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs is how many result lines the benchmark had (go test -count);
+	// the fields above are those of its median-ns/op line.
+	Runs int `json:"runs"`
 	// Raw is the untouched benchmark line, kept benchstat-compatible.
 	Raw string `json:"raw"`
+}
+
+// Change relates one benchmark's ns/op in the -before report to this
+// run's. Speedup is before/after.
+type Change struct {
+	Name     string  `json:"name"`
+	BeforeNs float64 `json:"before_ns_per_op"`
+	AfterNs  float64 `json:"after_ns_per_op"`
+	Speedup  float64 `json:"speedup"`
+}
+
+// Reconciliation sets the crossing sampler's cost against an engine run:
+// CrossingNs = CrossingCalls × NsPerCall, and Share = CrossingNs/EngineNs.
+// NsPerCall comes from BenchmarkEngineCrossings, which times the sampler
+// and K that BenchmarkEngineRun's runs use.
+type Reconciliation struct {
+	EngineNs      float64 `json:"engine_ns_per_op"`
+	CrossingCalls float64 `json:"crossing_calls_per_op"`
+	NsPerCall     float64 `json:"crossing_ns_per_call"`
+	CrossingNs    float64 `json:"crossing_ns_per_op"`
+	Share         float64 `json:"share"`
 }
 
 // CodecComparison relates one codec's kernel benchmark to its ".../ref"
@@ -70,12 +104,15 @@ type Report struct {
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
 	Codecs     []CodecComparison `json:"codecs,omitempty"`
+	Changes    []Change          `json:"changes,omitempty"`
+	Reconcile  *Reconciliation   `json:"reconcile,omitempty"`
 }
 
 func main() {
 	gateFile := flag.String("gate", "", "gate mode: read this BENCH json file and fail if any codec speedup is below its floor")
 	minBCH := flag.Float64("min-bch", 5, "minimum BCHDecode kernel speedup in gate mode")
 	minSECDED := flag.Float64("min-secded", 3, "minimum SECDEDLineDecode kernel speedup in gate mode")
+	before := flag.String("before", "", "earlier benchjson report to list each shared benchmark's before and after ns/op against")
 	flag.Parse()
 	if *gateFile != "" {
 		if err := gate(*gateFile, *minBCH, *minSECDED); err != nil {
@@ -84,13 +121,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(os.Stdin, os.Stdout); err != nil {
+	if err := run(os.Stdin, os.Stdout, *before); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in *os.File, out *os.File) error {
+func run(in *os.File, out *os.File, before string) error {
 	rep, err := parse(in)
 	if err != nil {
 		return err
@@ -99,6 +136,14 @@ func run(in *os.File, out *os.File) error {
 		return fmt.Errorf("no benchmark lines on stdin (run with `go test -bench . -benchmem`)")
 	}
 	rep.Codecs = codecComparisons(rep.Benchmarks)
+	if before != "" {
+		old, err := readReport(before)
+		if err != nil {
+			return err
+		}
+		rep.Changes = changes(old.Benchmarks, rep.Benchmarks)
+	}
+	rep.Reconcile = reconcile(rep.Benchmarks)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
@@ -109,13 +154,9 @@ func run(in *os.File, out *os.File) error {
 // minSECDED (other pairs, like OnDieDecode, are informational). Both
 // families must be present — an empty block must fail, not pass.
 func gate(path string, minBCH, minSECDED float64) error {
-	data, err := os.ReadFile(path)
+	rep, err := readReport(path)
 	if err != nil {
 		return err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	var gatedBCH, gatedSECDED int
 	var failed []string
@@ -147,6 +188,68 @@ func gate(path string, minBCH, minSECDED float64) error {
 		return fmt.Errorf("codec speedup below floor: %s", strings.Join(failed, ", "))
 	}
 	return nil
+}
+
+// readReport loads a report benchjson wrote earlier.
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
+}
+
+// changes pairs every benchmark of this run with the same-named one in
+// the earlier run, in this run's order.
+func changes(before, after []Benchmark) []Change {
+	old := make(map[string]float64, len(before))
+	for _, b := range before {
+		old[stripCPUSuffix(b.Name)] = b.NsPerOp
+	}
+	var out []Change
+	for _, b := range after {
+		name := stripCPUSuffix(b.Name)
+		ns, ok := old[name]
+		if !ok || ns <= 0 || b.NsPerOp <= 0 {
+			continue
+		}
+		out = append(out, Change{Name: name, BeforeNs: ns, AfterNs: b.NsPerOp, Speedup: ns / b.NsPerOp})
+	}
+	return out
+}
+
+// reconcile sets BenchmarkEngineRun's crossings/op times
+// BenchmarkEngineCrossings' ns/op against the engine's ns/op, or returns
+// nil when the run lacks either.
+func reconcile(bs []Benchmark) *Reconciliation {
+	var engine, cross *Benchmark
+	for i := range bs {
+		switch stripCPUSuffix(bs[i].Name) {
+		case "BenchmarkEngineRun":
+			engine = &bs[i]
+		case "BenchmarkEngineCrossings":
+			cross = &bs[i]
+		}
+	}
+	if engine == nil || cross == nil || engine.NsPerOp <= 0 {
+		return nil
+	}
+	calls, ok := engine.Metrics["crossings/op"]
+	if !ok {
+		return nil
+	}
+	ns := calls * cross.NsPerOp
+	return &Reconciliation{
+		EngineNs:      engine.NsPerOp,
+		CrossingCalls: calls,
+		NsPerCall:     cross.NsPerOp,
+		CrossingNs:    ns,
+		Share:         ns / engine.NsPerOp,
+	}
 }
 
 // stripCPUSuffix drops the trailing "-N" GOMAXPROCS marker go test
@@ -193,9 +296,11 @@ func codecComparisons(bs []Benchmark) []CodecComparison {
 
 // parse scans go test output, keeping header metadata and every
 // "Benchmark..." result line. Unrecognised lines (PASS, ok, test logs)
-// are ignored so the tool can sit directly on a `go test` pipe.
+// are ignored so the tool can sit directly on a `go test` pipe. A
+// benchmark run several times is reported by its median-ns/op line.
 func parse(in *os.File) (*Report, error) {
 	rep := &Report{}
+	runs := map[string][]Benchmark{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -218,12 +323,28 @@ func parse(in *os.File) (*Report, error) {
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseLine(line)
-			if ok {
+			if !ok {
+				continue
+			}
+			if len(runs[b.Name]) == 0 {
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
+			runs[b.Name] = append(runs[b.Name], b)
 		}
 	}
+	for i, b := range rep.Benchmarks {
+		rep.Benchmarks[i] = median(runs[b.Name])
+	}
 	return rep, sc.Err()
+}
+
+// median returns the run with the median ns/op (the lower middle one
+// for an even count), with Runs set to the number of runs.
+func median(runs []Benchmark) Benchmark {
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+	b := runs[(len(runs)-1)/2]
+	b.Runs = len(runs)
+	return b
 }
 
 // parseLine parses one result line of the form
@@ -247,15 +368,21 @@ func parseLine(line string) (Benchmark, bool) {
 	}
 	b := Benchmark{Name: f[0], Iterations: iters, NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1, Raw: line}
 	for i := 4; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i], 10, 64)
+		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			continue
 		}
-		switch f[i+1] {
+		switch unit := f[i+1]; unit {
 		case "B/op":
-			b.BytesPerOp = v
+			b.BytesPerOp = int64(v)
 		case "allocs/op":
-			b.AllocsPerOp = v
+			b.AllocsPerOp = int64(v)
+		case "MB/s":
+		default:
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[unit] = v
 		}
 	}
 	return b, true

@@ -15,6 +15,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wear"
 )
@@ -232,13 +233,37 @@ func TestCanceledRunCountsInStats(t *testing.T) {
 }
 
 // BenchmarkEngineRun measures the pooled engine hot path (make bench
-// records it in BENCH_engine.json).
+// records it in BENCH_engine.json). testSpec has no pre-aging and no SLC
+// form switch, so each line write, the initial fill included, samples
+// crossings once: crossings/op is the run's line-write count, which
+// make bench multiplies by BenchmarkEngineCrossings' ns/op.
 func BenchmarkEngineRun(b *testing.B) {
 	spec := testSpec()
 	b.ReportAllocs()
+	var writes int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
+		res, err := Run(spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		writes += res.TotalLineWrites
+	}
+	b.ReportMetric(float64(writes)/float64(b.N), "crossings/op")
+}
+
+// BenchmarkEngineCrossings times one SampleCrossings call with the
+// sampler and K that BenchmarkEngineRun's runs use, the per-call cost
+// make bench reconciles against a run.
+func BenchmarkEngineCrossings(b *testing.B) {
+	spec := testSpec()
+	sampler, err := cachedSampler(spec.PCM, spec.Mix, trackK(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := stats.NewRNG(spec.Seed)
+	var buf []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = sampler.SampleCrossings(r, buf)
 	}
 }

@@ -85,22 +85,22 @@ type state struct {
 	weakBuf  []float64
 }
 
+// trackK is the number of earliest crossings a run tracks per line: the
+// spec's override, else the scheme's correction capability plus slack.
+func trackK(spec Spec) int {
+	if spec.TrackK != 0 {
+		return spec.TrackK
+	}
+	return min(max(spec.Scheme.T()+4, 8), 16)
+}
+
 // newState prepares a run's state, drawing scratch from statePool and the
 // drift sampler from the shared sampler cache.
 func newState(spec Spec) (*state, error) {
 	if spec.Substeps == 0 {
 		spec.Substeps = 16
 	}
-	k := spec.TrackK
-	if k == 0 {
-		k = spec.Scheme.T() + 4
-		if k < 8 {
-			k = 8
-		}
-		if k > 16 {
-			k = 16
-		}
-	}
+	k := trackK(spec)
 	s := statePool.Get().(*state)
 	s.rng.Seed(spec.Seed)
 	sampler, err := cachedSampler(spec.PCM, spec.Mix, k)

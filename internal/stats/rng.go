@@ -206,7 +206,7 @@ func (r *RNG) Exponential(rate float64) float64 {
 			return x / rate
 		}
 		if i == 0 {
-			// Past r the density is r + Exp(1); 1−u is in (0, 1].
+			// Past r the variate is r + Exp(1); 1 − Float64() is in (0, 1].
 			return (zigR - math.Log(1-r.Float64())) / rate
 		}
 		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
@@ -231,7 +231,7 @@ const (
 var (
 	zigK [zigLayers]uint64  // magnitudes below zigK[i] lie under the curve: x_{i−1}/x_i · 2⁵⁶
 	zigW [zigLayers]float64 // magnitude-to-x scale: layer width × 2⁻⁵⁶
-	zigF [zigLayers]float64 // e^{−x_i}, the layer's lower edge
+	zigF [zigLayers]float64 // e^{−x_i}, x_0 = 0: layer i's lower edge for i ≥ 1
 )
 
 func init() {

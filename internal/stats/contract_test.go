@@ -73,8 +73,8 @@ func TestExponentialTail(t *testing.T) {
 }
 
 // TestExponentialMoments checks the mean 1/λ and variance 1/λ² of 1e6
-// draws at two rates, each within 4.5 standard errors (the sample variance of Exp(1)
-// has variance 8/n).
+// draws at two rates, each within 4.5 standard errors (the sample
+// variance of Exp(1) has variance 8/n).
 func TestExponentialMoments(t *testing.T) {
 	const n = 1000000
 	for i, rate := range []float64{1, 0.25} {

@@ -295,7 +295,7 @@ func TestSplitIndependence(t *testing.T) {
 // TestZigguratLayersHaveEqualArea checks the exponential ziggurat's
 // tables: the recurrence from r closes at x_0 = 0, every layer holds the
 // area v (the base strip with its tail included), and the fast-path
-// bound of layer i is x_{i−1}/x_i.
+// bound of layer i is x_{i−1}/x_i (r/q for the base strip of width q).
 func TestZigguratLayersHaveEqualArea(t *testing.T) {
 	width := func(i int) float64 { return zigW[i] * (1 << 56) }
 	areas := []float64{zigR*math.Exp(-zigR) + math.Exp(-zigR), width(1) * (1 - zigF[1])}
@@ -312,5 +312,8 @@ func TestZigguratLayersHaveEqualArea(t *testing.T) {
 	}
 	if zigK[1] != 0 || zigF[0] != 1 || width(zigLayers-1) != zigR {
 		t.Errorf("edges: k[1]=%d f[0]=%g x_255=%g, want 0, 1, r", zigK[1], zigF[0], width(zigLayers-1))
+	}
+	if got, want := float64(zigK[0])/(1<<56), zigR/width(0); math.Abs(got-want) > 1e-15 {
+		t.Errorf("base strip: fast bound %.17g, want r/q = %.17g", got, want)
 	}
 }

@@ -93,14 +93,31 @@ func TestSampleWeakestMatchesBruteForceMinimum(t *testing.T) {
 // P(W_(j) <= w) = P(Binomial(n, F(w)) >= j), F the lognormal CDF, under
 // a one-sample KS test at α = 0.001 for j ∈ {1, 4, 12}.
 func TestSampleWeakestOrderStatisticsKS(t *testing.T) {
+	checkOrderStatisticsKS(t, DefaultParams(), []int{1, 4, 12}, 2024)
+}
+
+// TestSampleWeakestSmallLineKS holds the same contract on a 16-cell line
+// that tracks all 16 cells. Its last spacings are divided by 2 and 1
+// rather than by ~250, so j = 16 is the line's strongest cell and its
+// spacing sums reach ~13, against ~0.1 for the default line's 12th.
+func TestSampleWeakestSmallLineKS(t *testing.T) {
+	p := DefaultParams()
+	p.CellsPerLine = 16
+	p.K = 16
+	checkOrderStatisticsKS(t, p, []int{1, 8, 16}, 2025)
+}
+
+// checkOrderStatisticsKS draws 20 000 lines from a model with params p
+// and KS-tests each listed order statistic against its exact law at
+// α = 0.001.
+func checkOrderStatisticsKS(t *testing.T, p Params, orders []int, seed uint64) {
+	t.Helper()
 	const (
 		lines = 20000
 		alpha = 0.001
 	)
-	p := DefaultParams()
 	m := MustModel(p)
-	r := stats.NewRNG(2024)
-	orders := []int{1, 4, 12}
+	r := stats.NewRNG(seed)
 	samples := make([][]float64, len(orders))
 	var buf []float64
 	for i := 0; i < lines; i++ {
@@ -116,9 +133,9 @@ func TestSampleWeakestOrderStatisticsKS(t *testing.T) {
 		}
 		d := stats.KSAgainstCDF(samples[o], cdf)
 		crit := stats.KSCriticalOneSample(lines, alpha)
-		t.Logf("j=%d: D=%.5f, critical %.5f", j, d, crit)
+		t.Logf("n=%d j=%d: D=%.5f, critical %.5f", p.CellsPerLine, j, d, crit)
 		if d > crit {
-			t.Errorf("order statistic j=%d: KS D=%.5f exceeds critical %.5f", j, d, crit)
+			t.Errorf("order statistic j=%d of %d: KS D=%.5f exceeds critical %.5f", j, p.CellsPerLine, d, crit)
 		}
 	}
 }

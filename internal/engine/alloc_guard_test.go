@@ -11,8 +11,8 @@ import "testing"
 // the benchmark spec, which BenchmarkEngineRun measures at 8 allocs/op.
 // The margin absorbs one run in AllocsPerRun(10) that finds the state
 // pool cleared by a GC and rebuilds its scratch; losing any pooling
-// layer — scratch recycling, the sampler cache, batched endurance draws
-// — trips it.
+// layer — scratch recycling, the sampler cache, reused endurance
+// buffers — trips it.
 const maxAllocsPerRun = 16
 
 // TestEngineRunAllocGuard is the regression fence for the hot loop's

@@ -15,7 +15,7 @@
 //   - an allocation-lean hot path: per-run scratch (line state, crossing
 //     buffers, patrol order) is recycled through a sync.Pool, drift
 //     samplers are shared across runs of the same device parameters, and
-//     endurance initialisation uses batched RNG draws.
+//     endurance initialisation draws into reused per-line buffers.
 //
 // A run's Result is a pure function of its Spec; the golden fingerprint
 // tests here and in internal/core pin it to the pre-engine sim loop.

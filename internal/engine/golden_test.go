@@ -22,11 +22,11 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	want := golden{
 		UEs:         0,
-		ScrubWrites: 493,
-		Corrected:   649,
-		Demand:      63,
+		ScrubWrites: 506,
+		Corrected:   684,
+		Demand:      61,
 		Visits:      1280,
-		Energy:      5.1014948e+07,
+		Energy:      5.2310216e+07,
 	}
 	got := golden{
 		UEs:         res.UEs,

@@ -198,7 +198,7 @@ func trajectoryDigest(t *testing.T) ([]byte, string) {
 // goldenTrajectorySHA pins the scripted trajectory's full observable
 // state. If an intentional engine or control-plane change shifts it,
 // re-run with -update-golden semantics: the test logs the new digest.
-const goldenTrajectorySHA = "46d0b4daf59e8ddb5f49e6b1ccb6c4f9a02c328331cfe7bc400b545e3b3ecda0"
+const goldenTrajectorySHA = "317a2d0a751262328be0ac7405c1d6d776440299d19eba0d73ffa46f5a20345d"
 
 func TestGoldenDeterministicTrajectory(t *testing.T) {
 	rawA, shaA := trajectoryDigest(t)

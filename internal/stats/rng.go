@@ -86,27 +86,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Fill writes len(dst) uniform float64s in [0, 1) into dst, consuming
-// exactly len(dst) draws — dst[i] equals what the i-th Float64 call would
-// have returned. The generator state is kept in registers across the
-// batch, which is measurably faster than per-call pointer updates on hot
-// fixed-count paths (e.g. per-line endurance initialisation).
-func (r *RNG) Fill(dst []float64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		result := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		dst[i] = float64(result>>11) / (1 << 53)
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

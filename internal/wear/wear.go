@@ -85,28 +85,86 @@ func (m *Model) Params() Params { return m.p }
 // cost is O(K) rather than O(cells). The out slice is reused if it has
 // capacity.
 //
-// The K uniforms are drawn in one batched Fill and transformed in place:
-// each draw u_j is finite and < 1 (Float64 < 1 keeps every exponential
-// spacing finite, so -expm1(-sum) < 1 always), hence all K order
-// statistics exist and the result always has exactly K entries.
+// The j-th spacing is an Exponential(n−j) draw, and the running spacing
+// sum s maps to the j-th order statistic's normal score z = Φ⁻¹(1 − e^{−s})
+// through weakestZ's table. A draw therefore costs one ziggurat
+// exponential, a table lookup and one exp. Every s ≥ 0 maps to a finite z,
+// so the result always has exactly K positive entries.
 func (m *Model) SampleWeakest(r *stats.RNG, out []float64) []float64 {
 	k := m.p.K
 	if cap(out) < k {
 		out = make([]float64, k)
 	}
 	out = out[:k]
-	r.Fill(out)
+	// Lognormal quantile 10^(μ + σ·z), as exp(μ·ln10 + σ·ln10·z).
+	mu := m.p.MeanLog10Writes * math.Ln10
+	sigma := m.p.SigmaLog10 * math.Ln10
 	n := m.p.CellsPerLine
-	sum := 0.0
-	for j := 0; j < k; j++ {
-		// Exponential(1) spacing from the batched uniform.
-		sum += -math.Log(1-out[j]) / float64(n-j)
-		u := -math.Expm1(-sum)
-		// Lognormal quantile: 10^(mean + sigma·Φ⁻¹(u)), as exp(q·ln 10).
-		q := m.p.MeanLog10Writes + m.p.SigmaLog10*stats.StdNormalQuantile(u)
-		out[j] = math.Exp(q * math.Ln10)
+	s := 0.0
+	for j := range out {
+		s += r.Exponential(float64(n - j))
+		out[j] = math.Exp(mu + sigma*weakestZ(s))
 	}
 	return out
+}
+
+// The normal-score table covers spacing sums s ∈ [2^zMinExp, 2^zMaxExp)
+// with zBits mantissa bits per octave: bucket i spans s from node i to
+// node i+1, where node i = 2^(zMinExp + i>>zBits)·(1 + (i&(2^zBits−1))/2^zBits).
+// Within a bucket z is interpolated linearly in s, which is linear in
+// the low 52−zBits mantissa bits. The interpolation is furthest from the
+// exact z in the top octaves, about 3e-6 near s = 16, and is held within
+// 1e-5 everywhere (TestWeakestZTableSweep). Sums outside the range take
+// the exact path; they are rare: s < 2^-40 needs a first spacing below
+// 2^-40, and s ≥ 32 an exponential tail of probability below 1e-12.
+const (
+	zBits   = 8
+	zMinExp = -40
+	zMaxExp = 5
+	// zFracBits is the mantissa bits below a bucket index.
+	zFracBits  = 52 - zBits
+	zFracScale = 1.0 / (1 << zFracBits)
+	zBuckets   = (zMaxExp - zMinExp) << zBits
+)
+
+var (
+	// zLoBits and zSpanBits bound the table in float64 bit patterns,
+	// which order like the values for s ≥ 0.
+	zLoBits   = math.Float64bits(math.Ldexp(1, zMinExp))
+	zSpanBits = math.Float64bits(math.Ldexp(1, zMaxExp)) - zLoBits
+	// zNodes[i] is the exact z at node i.
+	zNodes [zBuckets + 1]float64
+)
+
+func init() {
+	for i := range zNodes {
+		s := math.Ldexp(1+float64(i&(1<<zBits-1))/(1<<zBits), zMinExp+i>>zBits)
+		zNodes[i] = exactZ(s)
+	}
+}
+
+// weakestZ returns Φ⁻¹(1 − e^{−s}) for a spacing sum s ≥ 0: interpolated
+// from the table inside its range, exact outside it. s = 0 (an exponential draw
+// can be exactly 0) is taken as the smallest positive float64, so its z
+// is finite, about −38.5.
+func weakestZ(s float64) float64 {
+	if b := math.Float64bits(s) - zLoBits; b < zSpanBits {
+		i := b >> zFracBits
+		z0 := zNodes[i]
+		f := float64(b&(1<<zFracBits-1)) * zFracScale
+		return z0 + f*(zNodes[i+1]-z0)
+	}
+	return exactZ(max(s, math.SmallestNonzeroFloat64))
+}
+
+// exactZ returns Φ⁻¹(1 − e^{−s}) for s > 0, passing AS241 whichever of
+// 1 − e^{−s} and e^{−s} is below one half so it keeps full precision:
+// −expm1(−s) rounds to 1 for s past ~37, where e^{−s} is still exact.
+func exactZ(s float64) float64 {
+	if s < math.Ln2 {
+		return stats.StdNormalQuantile(-math.Expm1(-s))
+	}
+	return -stats.StdNormalQuantile(math.Exp(-s))
 }
 
 // DeadCells returns how many of the tracked weakest cells have exceeded

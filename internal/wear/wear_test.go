@@ -140,6 +140,78 @@ func checkOrderStatisticsKS(t *testing.T, p Params, orders []int, seed uint64) {
 	}
 }
 
+// TestWeakestZTableSweep is the endurance table's accuracy contract, in
+// the style of pcm.TestInversionStaysInBracketingCell: at every bucket's
+// midpoint and quarter points, where linear interpolation is furthest
+// from the curve, the table's z must be within 1e-5 of the exact
+// Φ⁻¹(1 − e^{−s}), and z must not decrease across the whole table.
+func TestWeakestZTableSweep(t *testing.T) {
+	const bound = 1e-5
+	worst, worstS := 0.0, 0.0
+	prev := math.Inf(-1)
+	for i := 0; i < zBuckets; i++ {
+		lo := math.Ldexp(1+float64(i%(1<<zBits))/(1<<zBits), zMinExp+i/(1<<zBits))
+		width := math.Ldexp(1.0/(1<<zBits), zMinExp+i/(1<<zBits))
+		for _, f := range []float64{0, 0.25, 0.5, 0.75} {
+			s := lo + f*width
+			got := weakestZ(s)
+			if got < prev {
+				t.Fatalf("z decreases at s=%g: %.17g after %.17g", s, got, prev)
+			}
+			prev = got
+			if d := math.Abs(got - exactZ(s)); d > worst {
+				worst, worstS = d, s
+			}
+		}
+	}
+	t.Logf("%d buckets over [2^%d, 2^%d): max |Δz| %.3g at s=%.4g", zBuckets, zMinExp, zMaxExp, worst, worstS)
+	if worst > bound {
+		t.Errorf("table z off by %.3g at s=%g, bound %g", worst, worstS, bound)
+	}
+}
+
+// TestExactZMatchesQuantile pins exactZ to the quantile of 1 − e^{−s}
+// where −expm1(−s) still resolves it (s ≤ 20, so e^{−s} ≥ 2e-9 keeps
+// more than 6 significant digits next to 1), and checks its upper-tail
+// form stays finite where −expm1(−s) rounds to 1.
+func TestExactZMatchesQuantile(t *testing.T) {
+	for s := 1e-15; s <= 20; s *= 1.1 {
+		want := stats.StdNormalQuantile(-math.Expm1(-s))
+		if got := exactZ(s); math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Errorf("exactZ(%g) = %.17g, want %.17g", s, got, want)
+		}
+	}
+	if z := exactZ(50); math.IsInf(z, 0) || math.IsNaN(z) || z <= exactZ(20) {
+		t.Errorf("exactZ(50) = %g, want a finite score above exactZ(20) = %g", z, exactZ(20))
+	}
+}
+
+// TestWeakestZEdges checks the lookup at its boundaries: s = 0 (an
+// exponential draw can be exactly 0) gives a finite score below the
+// table's floor, and the table's first and one-past-last nodes agree
+// with the exact path.
+func TestWeakestZEdges(t *testing.T) {
+	floor := math.Ldexp(1, zMinExp)
+	top := math.Ldexp(1, zMaxExp)
+	z0 := weakestZ(0)
+	if math.IsInf(z0, 0) || math.IsNaN(z0) || z0 >= weakestZ(floor) {
+		t.Errorf("weakestZ(0) = %g, want finite and below weakestZ(2^%d) = %g", z0, zMinExp, weakestZ(floor))
+	}
+	for _, s := range []float64{floor, top, math.Nextafter(top, 0)} {
+		if got, want := weakestZ(s), exactZ(s); math.Abs(got-want) > 1e-12 {
+			t.Errorf("weakestZ(%g) = %.17g, exact %.17g", s, got, want)
+		}
+	}
+	// A line whose first spacing is 0 still has a positive, finite
+	// weakest endurance.
+	m := MustModel(DefaultParams())
+	p := m.Params()
+	e := math.Exp(p.MeanLog10Writes*math.Ln10 + p.SigmaLog10*math.Ln10*z0)
+	if !(e > 0) || math.IsInf(e, 0) {
+		t.Errorf("endurance at s = 0 is %g, want tiny but positive", e)
+	}
+}
+
 func TestDeadCells(t *testing.T) {
 	weakest := []float64{100, 200, 300}
 	cases := []struct {

@@ -60,9 +60,9 @@ loc:
 # cmd/benchjson. Each benchmark runs five times and is reported by its
 # median run. The codecs block carries the kernel-vs-scalar speedup per
 # codec, which bench-gate (and CI) holds to its floors; the reconcile
-# block sets crossing sampling against an engine run. BEFORE=old.json
-# (a report made the same way on an earlier commit) adds each
-# benchmark's before and after ns/op.
+# block sets crossing sampling and endurance draws against an engine
+# run. BEFORE=old.json (a report made the same way on an earlier commit)
+# adds each benchmark's before and after ns/op.
 bench:
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkEngineRun|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \

@@ -24,9 +24,10 @@
 // With -before OLD.json (an earlier benchjson report, for example one
 // made on the parent commit), the output also carries a "changes" block
 // with each shared benchmark's ns/op before and after. When the run
-// holds BenchmarkEngineRun with its crossings/op metric and
-// BenchmarkEngineCrossings, a "reconcile" block multiplies the two to
-// give the crossing sampler's share of an engine run.
+// holds BenchmarkEngineRun, a "reconcile" block sets each layer it
+// counts against its per-call benchmark: crossings/op times
+// BenchmarkEngineCrossings and weakest/op times BenchmarkSampleWeakest,
+// each as a share of an engine run.
 package main
 
 import (
@@ -71,16 +72,34 @@ type Change struct {
 	Speedup  float64 `json:"speedup"`
 }
 
-// Reconciliation sets the crossing sampler's cost against an engine run:
-// CrossingNs = CrossingCalls × NsPerCall, and Share = CrossingNs/EngineNs.
-// NsPerCall comes from BenchmarkEngineCrossings, which times the sampler
-// and K that BenchmarkEngineRun's runs use.
+// Reconciliation sets per-layer costs against an engine run. Share is
+// the listed layers' total over EngineNs.
 type Reconciliation struct {
-	EngineNs      float64 `json:"engine_ns_per_op"`
-	CrossingCalls float64 `json:"crossing_calls_per_op"`
-	NsPerCall     float64 `json:"crossing_ns_per_call"`
-	CrossingNs    float64 `json:"crossing_ns_per_op"`
-	Share         float64 `json:"share"`
+	EngineNs float64         `json:"engine_ns_per_op"`
+	Layers   []ReconcileLine `json:"layers"`
+	Share    float64         `json:"share"`
+}
+
+// ReconcileLine is one layer of an engine run: Ns = Calls × NsPerCall,
+// and Share = Ns/EngineNs. Calls is a BenchmarkEngineRun metric and
+// NsPerCall the ns/op of the benchmark that times one call.
+type ReconcileLine struct {
+	Layer     string  `json:"layer"`
+	Benchmark string  `json:"benchmark"`
+	Calls     float64 `json:"calls_per_op"`
+	NsPerCall float64 `json:"ns_per_call"`
+	Ns        float64 `json:"ns_per_op"`
+	Share     float64 `json:"share"`
+}
+
+// reconcileLayers names, per layer, the BenchmarkEngineRun metric that
+// counts its calls and the benchmark that times one call.
+// BenchmarkEngineCrossings uses the engine benchmark's own sampler and
+// K; BenchmarkSampleWeakest uses the default wear parameters, which the
+// engine benchmark's spec uses too.
+var reconcileLayers = []struct{ layer, metric, bench string }{
+	{"crossings", "crossings/op", "BenchmarkEngineCrossings"},
+	{"weakest", "weakest/op", "BenchmarkSampleWeakest"},
 }
 
 // CodecComparison relates one codec's kernel benchmark to its ".../ref"
@@ -222,34 +241,40 @@ func changes(before, after []Benchmark) []Change {
 	return out
 }
 
-// reconcile sets BenchmarkEngineRun's crossings/op times
-// BenchmarkEngineCrossings' ns/op against the engine's ns/op, or returns
-// nil when the run lacks either.
+// reconcile sets each layer in reconcileLayers against
+// BenchmarkEngineRun's ns/op, skipping layers whose metric or per-call
+// benchmark the run lacks. It returns nil when no layer is present.
 func reconcile(bs []Benchmark) *Reconciliation {
-	var engine, cross *Benchmark
+	byName := make(map[string]*Benchmark, len(bs))
 	for i := range bs {
-		switch stripCPUSuffix(bs[i].Name) {
-		case "BenchmarkEngineRun":
-			engine = &bs[i]
-		case "BenchmarkEngineCrossings":
-			cross = &bs[i]
+		byName[stripCPUSuffix(bs[i].Name)] = &bs[i]
+	}
+	engine := byName["BenchmarkEngineRun"]
+	if engine == nil || engine.NsPerOp <= 0 {
+		return nil
+	}
+	rec := &Reconciliation{EngineNs: engine.NsPerOp}
+	for _, l := range reconcileLayers {
+		calls, ok := engine.Metrics[l.metric]
+		per := byName[l.bench]
+		if !ok || per == nil {
+			continue
 		}
+		ns := calls * per.NsPerOp
+		rec.Layers = append(rec.Layers, ReconcileLine{
+			Layer:     l.layer,
+			Benchmark: l.bench,
+			Calls:     calls,
+			NsPerCall: per.NsPerOp,
+			Ns:        ns,
+			Share:     ns / engine.NsPerOp,
+		})
+		rec.Share += ns / engine.NsPerOp
 	}
-	if engine == nil || cross == nil || engine.NsPerOp <= 0 {
+	if len(rec.Layers) == 0 {
 		return nil
 	}
-	calls, ok := engine.Metrics["crossings/op"]
-	if !ok {
-		return nil
-	}
-	ns := calls * cross.NsPerOp
-	return &Reconciliation{
-		EngineNs:      engine.NsPerOp,
-		CrossingCalls: calls,
-		NsPerCall:     cross.NsPerOp,
-		CrossingNs:    ns,
-		Share:         ns / engine.NsPerOp,
-	}
+	return rec
 }
 
 // stripCPUSuffix drops the trailing "-N" GOMAXPROCS marker go test

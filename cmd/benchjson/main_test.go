@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"testing"
 )
 
 func TestParseLineCustomMetric(t *testing.T) {
-	b, ok := parseLine("BenchmarkEngineRun-2   \t    2104\t   1277995 ns/op\t       812.0 crossings/op\t    3863 B/op\t       7 allocs/op")
+	b, ok := parseLine("BenchmarkEngineRun-2   \t    2104\t   1277995 ns/op\t       812.0 crossings/op\t       256.0 weakest/op\t    3863 B/op\t       7 allocs/op")
 	if !ok {
 		t.Fatal("line not parsed")
 	}
@@ -16,6 +18,9 @@ func TestParseLineCustomMetric(t *testing.T) {
 	}
 	if got := b.Metrics["crossings/op"]; got != 812 {
 		t.Errorf("crossings/op = %v, want 812", got)
+	}
+	if got := b.Metrics["weakest/op"]; got != 256 {
+		t.Errorf("weakest/op = %v, want 256", got)
 	}
 	codec, _ := parseLine("BenchmarkBCHDecode/t=2-2  \t  582464\t  4279 ns/op\t  14.96 MB/s\t  176 B/op\t  9 allocs/op")
 	if codec.Metrics != nil {
@@ -59,8 +64,9 @@ func TestChangesAndReconcile(t *testing.T) {
 		{Name: "BenchmarkGone-2", NsPerOp: 5},
 	}
 	after := []Benchmark{
-		{Name: "BenchmarkEngineRun-2", NsPerOp: 1000, Metrics: map[string]float64{"crossings/op": 2}},
+		{Name: "BenchmarkEngineRun-2", NsPerOp: 1000, Metrics: map[string]float64{"crossings/op": 2, "weakest/op": 4}},
 		{Name: "BenchmarkEngineCrossings-2", NsPerOp: 250},
+		{Name: "BenchmarkSampleWeakest-2", NsPerOp: 50},
 		{Name: "BenchmarkExponential-2", NsPerOp: 12},
 	}
 	cs := changes(before, after)
@@ -71,10 +77,19 @@ func TestChangesAndReconcile(t *testing.T) {
 		t.Errorf("Exponential change = %+v, want 24 -> 12, speedup 2", cs[1])
 	}
 	rec := reconcile(after)
-	if rec == nil || rec.CrossingNs != 500 || rec.Share != 0.5 {
-		t.Errorf("reconcile = %+v, want 500 ns, share 0.5", rec)
+	want := []ReconcileLine{
+		{Layer: "crossings", Benchmark: "BenchmarkEngineCrossings", Calls: 2, NsPerCall: 250, Ns: 500, Share: 0.5},
+		{Layer: "weakest", Benchmark: "BenchmarkSampleWeakest", Calls: 4, NsPerCall: 50, Ns: 200, Share: 0.2},
+	}
+	if rec == nil || !reflect.DeepEqual(rec.Layers, want) || rec.EngineNs != 1000 || math.Abs(rec.Share-0.7) > 1e-12 {
+		t.Errorf("reconcile = %+v, want crossings 500 ns and weakest 200 ns of 1000, share 0.7", rec)
+	}
+	// A layer whose per-call benchmark is missing is left out.
+	rec = reconcile(after[:2])
+	if rec == nil || len(rec.Layers) != 1 || rec.Layers[0].Layer != "crossings" || rec.Share != 0.5 {
+		t.Errorf("reconcile without SampleWeakest = %+v, want the crossing line alone", rec)
 	}
 	if reconcile(before) != nil {
-		t.Error("reconcile without crossings/op or EngineCrossings should be nil")
+		t.Error("reconcile without any layer metric should be nil")
 	}
 }

@@ -240,15 +240,22 @@ func TestCanceledRunCountsInStats(t *testing.T) {
 func BenchmarkEngineRun(b *testing.B) {
 	spec := testSpec()
 	b.ReportAllocs()
-	var writes int64
+	var writes, draws int64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
 		writes += res.TotalLineWrites
+		// Each physical slot draws its endurances once at init; a
+		// one-shot run's UE repairs rewrite in place without redrawing.
+		draws += int64(res.Lines)
+		if spec.GapMovePeriod > 0 {
+			draws++ // start-gap's spare slot
+		}
 	}
 	b.ReportMetric(float64(writes)/float64(b.N), "crossings/op")
+	b.ReportMetric(float64(draws)/float64(b.N), "weakest/op")
 }
 
 // BenchmarkEngineCrossings times one SampleCrossings call with the

@@ -116,7 +116,7 @@ func (m *Model) SampleWeakest(r *stats.RNG, out []float64) []float64 {
 // exact z in the top octaves, about 3e-6 near s = 16, and is held within
 // 1e-5 everywhere (TestWeakestZTableSweep). Sums outside the range take
 // the exact path; they are rare: s < 2^-40 needs a first spacing below
-// 2^-40, and s ≥ 32 an exponential tail of probability below 1e-12.
+// 2^-40, and s ≥ 32 has probability at most about K·e^{−32} per line.
 const (
 	zBits   = 8
 	zMinExp = -40
@@ -143,10 +143,10 @@ func init() {
 	}
 }
 
-// weakestZ returns Φ⁻¹(1 − e^{−s}) for a spacing sum s ≥ 0: interpolated
-// from the table inside its range, exact outside it. s = 0 (an exponential draw
-// can be exactly 0) is taken as the smallest positive float64, so its z
-// is finite, about −38.5.
+// weakestZ returns Φ⁻¹(1 − e^{−s}) for a spacing sum s ≥ 0, interpolated
+// from the table inside its range and exact outside it. s = 0 (an
+// exponential draw can be exactly 0) is taken as the smallest positive
+// float64, so its z is finite, about −38.5.
 func weakestZ(s float64) float64 {
 	if b := math.Float64bits(s) - zLoBits; b < zSpanBits {
 		i := b >> zFracBits
@@ -159,7 +159,8 @@ func weakestZ(s float64) float64 {
 
 // exactZ returns Φ⁻¹(1 − e^{−s}) for s > 0, passing AS241 whichever of
 // 1 − e^{−s} and e^{−s} is below one half so it keeps full precision:
-// −expm1(−s) rounds to 1 for s past ~37, where e^{−s} is still exact.
+// −expm1(−s) rounds to 1 for s past ~37, where e^{−s} keeps all its
+// digits.
 func exactZ(s float64) float64 {
 	if s < math.Ln2 {
 		return stats.StdNormalQuantile(-math.Expm1(-s))

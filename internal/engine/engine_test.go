@@ -247,12 +247,10 @@ func BenchmarkEngineRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		writes += res.TotalLineWrites
-		// Each physical slot draws its endurances once at init; a
-		// one-shot run's UE repairs rewrite in place without redrawing.
+		// Each slot draws its endurances once at init (without leveling a
+		// slot per line); a one-shot run's UE repairs rewrite in place
+		// without redrawing.
 		draws += int64(res.Lines)
-		if spec.GapMovePeriod > 0 {
-			draws++ // start-gap's spare slot
-		}
 	}
 	b.ReportMetric(float64(writes)/float64(b.N), "crossings/op")
 	b.ReportMetric(float64(draws)/float64(b.N), "weakest/op")

@@ -202,14 +202,6 @@ func TestWeakestZEdges(t *testing.T) {
 			t.Errorf("weakestZ(%g) = %.17g, exact %.17g", s, got, want)
 		}
 	}
-	// A line whose first spacing is 0 still has a positive, finite
-	// weakest endurance.
-	m := MustModel(DefaultParams())
-	p := m.Params()
-	e := math.Exp(p.MeanLog10Writes*math.Ln10 + p.SigmaLog10*math.Ln10*z0)
-	if !(e > 0) || math.IsInf(e, 0) {
-		t.Errorf("endurance at s = 0 is %g, want tiny but positive", e)
-	}
 }
 
 func TestDeadCells(t *testing.T) {

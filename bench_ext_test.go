@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/ecp"
+	"repro/internal/engine"
 	"repro/internal/pcm"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -26,11 +28,11 @@ func BenchmarkF13Leveling(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("kv-store", b)
-		bare, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		bare, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		lev, err := core.RunOneWithOptions(sys, m, w, core.Options{GapMovePeriod: 100})
+		lev, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{GapMovePeriod: 100}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func BenchmarkF15Replication(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := core.RunReplicated(sys, m, benchWorkload("idle-archive", b), 3)
+		rep, err := core.RunReplicatedContext(context.Background(), sys, m, benchWorkload("idle-archive", b), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,11 +134,11 @@ func BenchmarkF17SLC(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("idle-archive", b)
-		mlc, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		mlc, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		slc, err := core.RunOneWithOptions(sys, m, w, core.Options{SLCFraction: 1})
+		slc, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{SLCFraction: 1}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +159,7 @@ func BenchmarkF18DetectionRace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunOne(sys, m, benchWorkload("web-serve", b))
+		res, err := engine.Run(engine.ResolveSpec(sys, m, benchWorkload("web-serve", b), engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,11 +202,11 @@ func BenchmarkF20ECP(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("idle-archive", b)
-		bare, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		bare, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		withECP, err := core.RunOneWithOptions(sys, m, w, core.Options{ECPEntries: 6})
+		withECP, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{ECPEntries: 6}))
 		if err != nil {
 			b.Fatal(err)
 		}

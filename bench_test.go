@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/memctrl"
 	"repro/internal/pcm"
@@ -48,7 +49,7 @@ func runMech(b *testing.B, sys core.System, mechName, workload string) *simResul
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := core.RunOne(sys, m, benchWorkload(workload, b))
+	r, err := engine.Run(engine.ResolveSpec(sys, m, benchWorkload(workload, b), engine.Options{}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func BenchmarkF6LightDetect(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("web-serve", b)
-		rFull, err := core.RunOne(sys, m1, w)
+		rFull, err := engine.Run(engine.ResolveSpec(sys, m1, w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rLight, err := core.RunOne(sys, m2, w)
+		rLight, err := engine.Run(engine.ResolveSpec(sys, m2, w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func BenchmarkF7ThresholdSweep(b *testing.B) {
 				}),
 				Interval: interval,
 			}
-			r, err := core.RunOne(sys, mech, benchWorkload("idle-archive", b))
+			r, err := engine.Run(engine.ResolveSpec(sys, mech, benchWorkload("idle-archive", b), engine.Options{}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -322,11 +323,11 @@ func BenchmarkF12Adaptive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rF, err := core.RunOne(sys, mF, phased)
+		rF, err := engine.Run(engine.ResolveSpec(sys, mF, phased, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rA, err := core.RunOne(sys, mA, phased)
+		rA, err := engine.Run(engine.ResolveSpec(sys, mA, phased, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/scrub"
 	"repro/internal/trace"
 )
@@ -138,7 +139,7 @@ func runF12(env *environment) ([]core.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rA, err := env.runOneWithOptions(sys, adaptive, phased, core.Options{RecordRounds: true})
+	rA, err := env.runOneWithOptions(sys, adaptive, phased, engine.Options{RecordRounds: true})
 	if err != nil {
 		return nil, err
 	}

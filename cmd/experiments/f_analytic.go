@@ -19,11 +19,6 @@ func init() {
 // runF9 evaluates the queueing model across candidate scrub intervals
 // under db-oltp demand rates, at fleet scale (32 GiB of lines).
 func runF9(env *environment) ([]core.Table, error) {
-	sys := env.sys
-	model, err := memctrl.NewModel(sys.Timing)
-	if err != nil {
-		return nil, err
-	}
 	w, err := trace.ByName("db-oltp")
 	if err != nil {
 		return nil, err
@@ -31,13 +26,12 @@ func runF9(env *environment) ([]core.Table, error) {
 	// Fleet scale: 32 GiB / 64 B lines, with banks scaled in proportion
 	// (32 channels x 8 banks).
 	const fleetLines = 32 << 30 / 64
-	timing := sys.Timing
+	timing := memctrl.DefaultParams()
 	timing.Banks = 256
 	fleet, err := memctrl.NewModel(timing)
 	if err != nil {
 		return nil, err
 	}
-	_ = model
 	footprint := w.FootprintFrac * float64(fleetLines)
 	demandR := w.ReadsPerLinePerSec * footprint
 	demandW := w.WritesPerLinePerSec * footprint

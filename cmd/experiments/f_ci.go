@@ -67,6 +67,6 @@ func runF15(env *environment) ([]core.Table, error) {
 	}
 	hl.AddRow("UE reduction", fmt.Sprintf("%.2f%% ± %.2f", ci.UEReductionPct, ci.UEReductionStderr))
 	hl.AddRow("write factor", fmt.Sprintf("%.1fx ± %.1f", ci.WriteFactor, ci.WriteFactorStderr))
-	hl.AddRow("energy reduction", fmt.Sprintf("%.2f%% ± %.2f", ci.EnergyReductionPct, ci.EnergyReductionSterr))
+	hl.AddRow("energy reduction", fmt.Sprintf("%.2f%% ± %.2f", ci.EnergyReductionPct, ci.EnergyReductionStderr))
 	return []core.Table{t, hl}, nil
 }

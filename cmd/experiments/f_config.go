@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/memctrl"
 	"repro/internal/pcm"
 )
 
@@ -34,8 +35,9 @@ func runT1(env *environment) ([]core.Table, error) {
 		sys.Wear.MeanLog10Writes, sys.Wear.SigmaLog10))
 	cfg.AddRow("read / write energy", fmt.Sprintf("%.1f / %.1f pJ per bit",
 		sys.Energy.ArrayReadPJPerBit, sys.Energy.ArrayWritePJPerBit))
+	timing := memctrl.DefaultParams()
 	cfg.AddRow("read / write latency", fmt.Sprintf("%.0f ns / %.0f ns",
-		sys.Timing.ReadLatencyNs, sys.Timing.WriteLatencyNs))
+		timing.ReadLatencyNs, timing.WriteLatencyNs))
 	cfg.AddRow("horizon", core.FmtSeconds(sys.Horizon))
 	cfg.AddRow("risk target", fmt.Sprintf("%g per line-sweep", sys.RiskTarget))
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecp"
+	"repro/internal/engine"
 	"repro/internal/pcm"
 	"repro/internal/trace"
 )
@@ -33,7 +34,7 @@ func runF20(env *environment) ([]core.Table, error) {
 		Header: []string{"ECP entries", "storage bits/line", "stuck cells covered",
 			"UEs", "scrub writes", "energy"}}
 	for _, entries := range []int{0, 2, 4, 6, 8} {
-		res, err := env.runOneWithOptions(sys, mech, w, core.Options{ECPEntries: entries})
+		res, err := env.runOneWithOptions(sys, mech, w, engine.Options{ECPEntries: entries})
 		if err != nil {
 			return nil, err
 		}

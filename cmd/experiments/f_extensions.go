@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -29,7 +30,7 @@ func runF17(env *environment) ([]core.Table, error) {
 	t := core.Table{Title: "SLC fraction sweep (threshold mechanism, idle-archive)",
 		Header: []string{"SLC fraction", "UEs", "scrub writes", "corrected bits", "scrub energy"}}
 	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		res, err := env.runOneWithOptions(env.sys, mech, w, core.Options{SLCFraction: f})
+		res, err := env.runOneWithOptions(env.sys, mech, w, engine.Options{SLCFraction: f})
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func runF13(env *environment) ([]core.Table, error) {
 		}
 		for _, period := range []uint64{0, 100} {
 			levSys := sys
-			res, err := env.runOneWithOptions(levSys, mech, w, core.Options{GapMovePeriod: period})
+			res, err := env.runOneWithOptions(levSys, mech, w, engine.Options{GapMovePeriod: period})
 			if err != nil {
 				return nil, err
 			}

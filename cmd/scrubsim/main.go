@@ -187,12 +187,12 @@ func run() error {
 			return err
 		}
 	}
-	res, err := core.RunOneWithOptionsContext(ctx, sys, mech, w, core.Options{
+	res, err := engine.RunContext(ctx, engine.ResolveSpec(sys, mech, w, engine.Options{
 		GapMovePeriod: *gap,
 		SLCFraction:   *slc,
 		Source:        source,
 		ECPEntries:    *ecpN,
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -314,11 +314,7 @@ func printReport(sys core.System, mech core.Mechanism, w trace.Workload, res *en
 		fmt.Println()
 	}
 
-	slow, err := core.PerfOverhead(sys, w, res)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("estimated demand slowdown from scrub traffic: %.4fx\n", slow)
+	fmt.Printf("estimated demand slowdown from scrub traffic: %.4fx\n", core.PerfOverhead(sys, w, res))
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -36,12 +37,12 @@ func main() {
 
 	configs := []struct {
 		label string
-		opts  core.Options
+		opts  engine.Options
 	}{
-		{"bare", core.Options{}},
-		{"+ECP-6", core.Options{ECPEntries: 6}},
-		{"+leveling", core.Options{GapMovePeriod: 100}},
-		{"+ECP-6 +leveling", core.Options{ECPEntries: 6, GapMovePeriod: 100}},
+		{"bare", engine.Options{}},
+		{"+ECP-6", engine.Options{ECPEntries: 6}},
+		{"+leveling", engine.Options{GapMovePeriod: 100}},
+		{"+ECP-6 +leveling", engine.Options{ECPEntries: 6, GapMovePeriod: 100}},
 	}
 
 	t := core.Table{
@@ -49,7 +50,7 @@ func main() {
 		Header: []string{"configuration", "UEs", "scrub writes", "stuck covered", "max slot writes", "energy"},
 	}
 	for _, c := range configs {
-		res, err := core.RunOneWithOptions(sys, mech, workload, c.opts)
+		res, err := engine.Run(engine.ResolveSpec(sys, mech, workload, c.opts))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.RunOne(sys, mech, workload)
+		res, err := engine.Run(engine.ResolveSpec(sys, mech, workload, engine.Options{}))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func extrapolate(sys core.System, res *engine.Result) *fleetNumbers {
 	serverLines := float64(serverGiB) * (1 << 30) / lineBytes
 	scale := serverLines / regionLines
 
-	m := memctrl.MustModel(sys.Timing)
+	m := memctrl.MustModel(memctrl.DefaultParams())
 	f.scrubMBps = m.BandwidthMBps((res.ScrubReadRate() + res.ScrubWriteRate()) * scale)
 	f.scrubJoules = res.ScrubEnergy.Total() * scale / 1e12
 

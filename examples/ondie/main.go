@@ -59,7 +59,7 @@ func main() {
 	mech.Interval = sys.Horizon / 32
 
 	// Run 1: bare chip, every raw error is controller-visible.
-	bare, err := core.RunOne(sys, mech, w)
+	bare, err := engine.Run(engine.ResolveSpec(sys, mech, w, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	// Run 2: on-die SECDED under the same uniform patrol.
 	osys := sys
 	osys.OnDie = &ondie.Config{T: 1}
-	hidden, err := core.RunOne(osys, mech, w)
+	hidden, err := engine.Run(engine.ResolveSpec(osys, mech, w, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func main() {
 	// interval, plus profiling rounds and at-risk patrol bias.
 	pm := mech
 	pm.Policy = scrub.ProfiledThreshold(1)
-	profiled, err := core.RunOne(osys, pm, w)
+	profiled, err := engine.Run(engine.ResolveSpec(osys, pm, w, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

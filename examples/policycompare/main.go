@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/scrub"
 	"repro/internal/trace"
 )
@@ -54,7 +55,7 @@ func main() {
 	}
 	for _, p := range policies {
 		mech := core.Mechanism{Name: p.Name(), Scheme: scheme, Policy: p, Interval: interval}
-		res, err := core.RunOne(sys, mech, w)
+		res, err := engine.Run(engine.ResolveSpec(sys, mech, w, engine.Options{}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -36,11 +37,11 @@ func main() {
 	}
 
 	// 4. Run them.
-	rBasic, err := core.RunOne(sys, basic, workload)
+	rBasic, err := engine.Run(engine.ResolveSpec(sys, basic, workload, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rCombined, err := core.RunOne(sys, combined, workload)
+	rCombined, err := engine.Run(engine.ResolveSpec(sys, combined, workload, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 // Package core is the public façade of the scrub study: it assembles the
-// substrates (PCM drift physics, ECC schemes, wear, energy, workloads,
-// the Monte Carlo simulator) into ready-to-run *mechanisms* — the paper's
-// ladder from the DRAM-style baseline scrub to the combined proposal —
-// and provides the comparison runner and headline-metric computation that
-// every experiment, example and benchmark in this repository builds on.
+// substrates (PCM drift physics, ECC schemes, wear, energy, workloads)
+// into ready-to-run *mechanisms* — the paper's ladder from the DRAM-style
+// baseline scrub to the combined proposal — and provides the comparison
+// and replication runners and headline-metric computation that every
+// experiment, example and benchmark in this repository builds on.
 //
-// The System/Mechanism/Options types are re-exports of their
-// internal/engine definitions, and every runner here resolves its inputs
-// through engine.ResolveSpec before handing them to the shared engine
-// pipeline — core adds the study's defaults (DefaultSystem, Suite) and
-// the comparison machinery (Matrix, Headline) on top.
+// A single run goes straight to the engine:
+// engine.RunContext(ctx, engine.ResolveSpec(sys, mech, workload, opts)).
+// core adds the study's defaults (DefaultSystem, Suite) and the
+// comparison machinery (RunMatrixContext, RunReplicatedContext, shards,
+// Headline) on top. System and Mechanism remain aliases of their engine
+// definitions because the benchmark module still names them here.
 package core
 
 import (
@@ -48,7 +49,6 @@ func DefaultSystem() System {
 		Mix:        pcm.UniformMix(),
 		Wear:       wear.DefaultParams(),
 		Energy:     energy.DefaultParams(),
-		Timing:     memctrl.DefaultParams(),
 		Horizon:    259200, // 3 days
 		RiskTarget: 1e-4,
 		Seed:       1,
@@ -171,35 +171,6 @@ func SuiteMechanism(sys System, name string) (Mechanism, error) {
 	return Mechanism{}, fmt.Errorf("core: unknown mechanism %q", name)
 }
 
-// RunOne simulates one mechanism under one workload. Suite-produced
-// policies are stateless, so a Mechanism can be reused across runs.
-func RunOne(sys System, m Mechanism, w trace.Workload) (*engine.Result, error) {
-	return RunOneContext(context.Background(), sys, m, w)
-}
-
-// RunOneContext is RunOne under a context: cancellation is honoured
-// within a few hundred scrub visits.
-func RunOneContext(ctx context.Context, sys System, m Mechanism, w trace.Workload) (*engine.Result, error) {
-	return RunOneWithOptionsContext(ctx, sys, m, w, Options{})
-}
-
-// Options exposes simulator-only knobs that are not part of a Mechanism:
-// the optional substrates layered under the scrub study.
-type Options = engine.Options
-
-// RunOneWithOptions is RunOne with the optional substrates configured.
-func RunOneWithOptions(sys System, m Mechanism, w trace.Workload, o Options) (*engine.Result, error) {
-	return RunOneWithOptionsContext(context.Background(), sys, m, w, o)
-}
-
-// RunOneWithOptionsContext is RunOneWithOptions under a context.
-func RunOneWithOptionsContext(ctx context.Context, sys System, m Mechanism, w trace.Workload, o Options) (*engine.Result, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	return engine.RunContext(ctx, engine.ResolveSpec(sys, m, w, o))
-}
-
 // Matrix is a full mechanisms × workloads comparison.
 type Matrix struct {
 	Mechanisms []string
@@ -214,7 +185,7 @@ func (mx *Matrix) Get(mech, workload string) *engine.Result {
 	return mx.cells[cellKey(mech, workload)]
 }
 
-// TotalsFor aggregates a mechanism's results across all workloads.
+// Totals aggregates a mechanism's results across all workloads.
 type Totals struct {
 	UEs         int64
 	ScrubWrites int64
@@ -240,15 +211,10 @@ func (mx *Matrix) TotalsFor(mech string) Totals {
 	return t
 }
 
-// RunMatrix simulates every mechanism under every workload, fanning cells
-// out over the available CPUs. Each cell gets a distinct deterministic
-// seed derived from the system seed and its coordinates, so the matrix is
-// reproducible regardless of scheduling.
-func RunMatrix(sys System, mechanisms []Mechanism, workloads []trace.Workload) (*Matrix, error) {
-	return RunMatrixContext(context.Background(), sys, mechanisms, workloads)
-}
-
-// RunMatrixContext is RunMatrix under a context: cancellation stops
+// RunMatrixContext simulates every mechanism under every workload,
+// fanning cells out over the available CPUs. Each cell gets a distinct
+// deterministic seed derived from the system seed and its coordinates, so
+// the matrix is reproducible regardless of scheduling. Cancellation stops
 // in-flight cells within a substep and skips unstarted ones.
 func RunMatrixContext(ctx context.Context, sys System, mechanisms []Mechanism, workloads []trace.Workload) (*Matrix, error) {
 	if err := sys.Validate(); err != nil {
@@ -271,10 +237,7 @@ func RunMatrixContext(ctx context.Context, sys System, mechanisms []Mechanism, w
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(mechanisms)*len(workloads) {
-		workers = len(mechanisms) * len(workloads)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(mechanisms)*len(workloads))
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -349,13 +312,11 @@ func (mx *Matrix) ComputeHeadline(baseline, proposed string) (Headline, error) {
 	return h, nil
 }
 
-// PerfOverhead estimates, via the queueing model, the demand slowdown a
-// result's scrub traffic causes under its workload's read/write rates.
-func PerfOverhead(sys System, w trace.Workload, r *engine.Result) (float64, error) {
-	m, err := memctrl.NewModel(sys.Timing)
-	if err != nil {
-		return 0, err
-	}
+// PerfOverhead estimates, via the default controller's queueing model,
+// the demand slowdown a result's scrub traffic causes under its
+// workload's read/write rates.
+func PerfOverhead(sys System, w trace.Workload, r *engine.Result) float64 {
+	m := memctrl.MustModel(memctrl.DefaultParams())
 	footprint := w.FootprintFrac * float64(sys.Geometry.TotalLines())
 	rates := memctrl.Rates{
 		DemandReads:  w.ReadsPerLinePerSec * footprint,
@@ -363,5 +324,5 @@ func PerfOverhead(sys System, w trace.Workload, r *engine.Result) (float64, erro
 		ScrubReads:   r.ScrubReadRate(),
 		ScrubWrites:  r.ScrubWriteRate(),
 	}
-	return m.Slowdown(rates), nil
+	return m.Slowdown(rates)
 }

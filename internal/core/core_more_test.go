@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -21,7 +23,7 @@ func TestCombinedMechanismStandsAlone(t *testing.T) {
 	if m.Scheme.Name() != "BCH-8" || m.Policy.Name() != "combined" {
 		t.Errorf("mechanism wrong: %s/%s", m.Scheme.Name(), m.Policy.Name())
 	}
-	res, err := RunOne(sys, m, smallWorkload())
+	res, err := runOne(sys, m, smallWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +47,10 @@ func TestRunOneWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOneWithOptions(sys, m, smallWorkload(), Options{
+	res, err := engine.Run(engine.ResolveSpec(sys, m, smallWorkload(), engine.Options{
 		GapMovePeriod: 50,
 		SLCFraction:   0.5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +58,8 @@ func TestRunOneWithOptions(t *testing.T) {
 		t.Error("leveling option not applied")
 	}
 	bad := sys
-	bad.RiskTarget = 0
-	if _, err := RunOneWithOptions(bad, m, smallWorkload(), Options{}); err == nil {
+	bad.Horizon = 0
+	if _, err := engine.Run(engine.ResolveSpec(bad, m, smallWorkload(), engine.Options{})); err == nil {
 		t.Error("invalid system accepted")
 	}
 }
@@ -67,8 +69,8 @@ func TestRunMatrixPropagatesCellErrors(t *testing.T) {
 	ms, _ := Suite(sys)
 	broken := ms[0]
 	broken.Interval = 0 // engine.Spec validation will reject
-	if _, err := RunMatrix(sys, []Mechanism{broken}, []trace.Workload{smallWorkload()}); err == nil {
-		t.Error("broken mechanism accepted by RunMatrix")
+	if _, err := RunMatrixContext(context.Background(), sys, []Mechanism{broken}, []trace.Workload{smallWorkload()}); err == nil {
+		t.Error("broken mechanism accepted by RunMatrixContext")
 	}
 }
 
@@ -76,7 +78,7 @@ func TestRunOneRejectsInvalidSystem(t *testing.T) {
 	sys := smallSystem()
 	sys.Horizon = 0
 	m := Mechanism{}
-	if _, err := RunOne(sys, m, smallWorkload()); err == nil {
+	if _, err := runOne(sys, m, smallWorkload()); err == nil {
 		t.Error("invalid system accepted")
 	}
 }
@@ -92,18 +94,5 @@ func TestFixedIntervalForUnreachable(t *testing.T) {
 	bad.PCM.SigmaProg = -1
 	if _, err := FixedIntervalFor(bad, 1); err == nil {
 		t.Error("invalid PCM params accepted")
-	}
-}
-
-func TestPerfOverheadRejectsBadTiming(t *testing.T) {
-	sys := smallSystem()
-	m, _ := SuiteMechanism(sys, "basic")
-	res, err := RunOne(sys, m, smallWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Timing.Banks = 0
-	if _, err := PerfOverhead(sys, smallWorkload(), res); err == nil {
-		t.Error("invalid timing accepted")
 	}
 }

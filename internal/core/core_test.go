@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -19,6 +21,11 @@ func smallSystem() System {
 	sys.Horizon = 40000
 	sys.Substeps = 8
 	return sys
+}
+
+// runOne runs one mechanism under one workload through the engine.
+func runOne(sys System, m Mechanism, w trace.Workload) (*engine.Result, error) {
+	return engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 }
 
 func smallWorkload() trace.Workload {
@@ -122,7 +129,7 @@ func TestSuiteShortHorizon(t *testing.T) {
 		t.Fatalf("suite has %d mechanisms, want 5", len(ms))
 	}
 	for _, m := range ms {
-		if _, err := RunOne(sys, m, smallWorkload()); err != nil {
+		if _, err := runOne(sys, m, smallWorkload()); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
 	}
@@ -148,7 +155,7 @@ func TestRunOneProducesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOne(sys, m, smallWorkload())
+	res, err := runOne(sys, m, smallWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestRunMatrixAndHeadline(t *testing.T) {
 		smallWorkload(),
 		{Name: "idle", WritesPerLinePerSec: 1e-7, ReadsPerLinePerSec: 1e-5, FootprintFrac: 1.0},
 	}
-	mx, err := RunMatrix(sys, pair, workloads)
+	mx, err := RunMatrixContext(context.Background(), sys, pair, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +224,11 @@ func TestRunMatrixReproducibleAcrossScheduling(t *testing.T) {
 	}
 	pair := []Mechanism{ms[0], ms[3]}
 	ws := []trace.Workload{smallWorkload()}
-	a, err := RunMatrix(sys, pair, ws)
+	a, err := RunMatrixContext(context.Background(), sys, pair, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrix(sys, pair, ws)
+	b, err := RunMatrixContext(context.Background(), sys, pair, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +243,11 @@ func TestRunMatrixReproducibleAcrossScheduling(t *testing.T) {
 
 func TestRunMatrixRejectsEmpty(t *testing.T) {
 	sys := smallSystem()
-	if _, err := RunMatrix(sys, nil, []trace.Workload{smallWorkload()}); err == nil {
+	if _, err := RunMatrixContext(context.Background(), sys, nil, []trace.Workload{smallWorkload()}); err == nil {
 		t.Error("empty mechanisms accepted")
 	}
 	ms, _ := Suite(sys)
-	if _, err := RunMatrix(sys, ms[:1], nil); err == nil {
+	if _, err := RunMatrixContext(context.Background(), sys, ms[:1], nil); err == nil {
 		t.Error("empty workloads accepted")
 	}
 }
@@ -252,15 +259,11 @@ func TestPerfOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := smallWorkload()
-	res, err := RunOne(sys, m, w)
+	res, err := runOne(sys, m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := PerfOverhead(sys, w, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow < 1 {
+	if slow := PerfOverhead(sys, w, res); slow < 1 {
 		t.Errorf("slowdown %g < 1", slow)
 	}
 }

@@ -70,7 +70,7 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range mechs {
-		res, err := RunOne(sys, m, w)
+		res, err := runOne(sys, m, w)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}

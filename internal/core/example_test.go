@@ -5,14 +5,16 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
 // Demonstrates the library's primary loop: build a system, pick
-// mechanisms from the paper's ladder, run them on a workload, compare.
-// (Outputs are printed as relations, which hold for any seed.)
-func ExampleRunOne() {
+// mechanisms from the paper's ladder, run each on a workload through the
+// engine, compare. (Outputs are printed as relations, which hold for any
+// seed.)
+func Example() {
 	sys := core.DefaultSystem()
 	// Shrink the region and horizon so the example runs in milliseconds.
 	sys.Geometry = mem.Geometry{
@@ -36,11 +38,11 @@ func ExampleRunOne() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rBasic, err := core.RunOne(sys, basic, workload)
+	rBasic, err := engine.Run(engine.ResolveSpec(sys, basic, workload, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rCombined, err := core.RunOne(sys, combined, workload)
+	rCombined, err := engine.Run(engine.ResolveSpec(sys, combined, workload, engine.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -19,7 +21,7 @@ import (
 const retrySeedSalt = 0x51ed270b9b1e6d2f
 
 // maxFailedFraction bounds graceful degradation: when at most this
-// fraction of replicas fail (after their retry), RunReplicated returns
+// fraction of replicas fail (after their retry), RunReplicatedContext returns
 // the surviving results instead of aborting the campaign.
 const maxFailedFraction = 0.20
 
@@ -102,13 +104,9 @@ func safeRunReplica(ctx context.Context, cfg engine.Spec) (res *engine.Result, e
 	return runReplica(ctx, cfg)
 }
 
-// RunReplicated simulates the cell `replicas` times with seeds derived
-// from sys.Seed, fanning out over the available CPUs.
-func RunReplicated(sys System, m Mechanism, w trace.Workload, replicas int) (*Replicated, error) {
-	return RunReplicatedContext(context.Background(), sys, m, w, replicas)
-}
-
-// RunReplicatedContext is RunReplicated under resilient supervision:
+// RunReplicatedContext simulates the cell `replicas` times with seeds
+// derived from sys.Seed, fanning out over the available CPUs under
+// resilient supervision:
 //
 //   - Cancellation: ctx is checked inside every replica per substep;
 //     cancelling returns promptly with an error wrapping ctx.Err().
@@ -237,18 +235,12 @@ func RunShardContext(ctx context.Context, sys System, m Mechanism, w trace.Workl
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: replication canceled: %w", err)
 	}
+	sortFailures(failures)
 	if len(failures) > allowedFailures {
 		// Too broken to degrade gracefully; surface the first failure.
-		first := failures[0]
-		for _, f := range failures {
-			if f.Index < first.Index {
-				first = f
-			}
-		}
 		return nil, fmt.Errorf("core: %d/%d replicas failed (budget %d): %w",
-			len(failures), count, allowedFailures, first.Err)
+			len(failures), count, allowedFailures, failures[0].Err)
 	}
-	sortFailures(failures)
 	shard.Failures = failures
 	shard.Retried = retried
 	return shard, nil
@@ -256,11 +248,7 @@ func RunShardContext(ctx context.Context, sys System, m Mechanism, w trace.Workl
 
 // sortFailures orders failures by replica index for stable reporting.
 func sortFailures(failures []ReplicaFailure) {
-	for i := 1; i < len(failures); i++ {
-		for j := i; j > 0 && failures[j].Index < failures[j-1].Index; j-- {
-			failures[j], failures[j-1] = failures[j-1], failures[j]
-		}
-	}
+	slices.SortFunc(failures, func(a, b ReplicaFailure) int { return cmp.Compare(a.Index, b.Index) })
 }
 
 // MergeReplicated assembles shards covering replicas [0, requested)
@@ -343,12 +331,12 @@ func MergeReplicated(mechanism, workload string, requested int, shards []*Shard)
 // metric as mean ± standard error of the reduction, plus an audit of how
 // many replica pairs actually fed each mean.
 type HeadlineCI struct {
-	UEReductionPct       float64
-	UEReductionStderr    float64
-	WriteFactor          float64
-	WriteFactorStderr    float64
-	EnergyReductionPct   float64
-	EnergyReductionSterr float64
+	UEReductionPct        float64
+	UEReductionStderr     float64
+	WriteFactor           float64
+	WriteFactorStderr     float64
+	EnergyReductionPct    float64
+	EnergyReductionStderr float64
 
 	// Pairs is the number of index-aligned replica pairs with results on
 	// both sides; FailedPairs counts pairs dropped because either side's
@@ -409,6 +397,6 @@ func CompareReplicated(baseline, proposed *Replicated) (HeadlineCI, error) {
 	ci.WriteFactor = wf.Mean()
 	ci.WriteFactorStderr = wf.StdErr()
 	ci.EnergyReductionPct = en.Mean()
-	ci.EnergyReductionSterr = en.StdErr()
+	ci.EnergyReductionStderr = en.StdErr()
 	return ci, nil
 }

@@ -57,7 +57,7 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	rep, err := RunReplicated(sys, m, smallWorkload(), 6)
+	rep, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunReplicatedPartialResults(t *testing.T) {
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	rep, err := RunReplicated(sys, m, smallWorkload(), 10) // budget: 2 failures
+	rep, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 10) // budget: 2 failures
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunReplicatedFailureBudgetExceeded(t *testing.T) {
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	_, err := RunReplicated(sys, m, smallWorkload(), 10) // 3 failures > budget 2
+	_, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 10) // 3 failures > budget 2
 	if err == nil {
 		t.Fatal("campaign with 30% failures should error")
 	}
@@ -139,7 +139,7 @@ func TestRunReplicatedStopsLaunchingAfterAbort(t *testing.T) {
 		return nil, errors.New("every replica fails")
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	if _, err := RunReplicated(sys, m, smallWorkload(), replicas); err == nil {
+	if _, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), replicas); err == nil {
 		t.Fatal("all-failing campaign should error")
 	}
 	mu.Lock()

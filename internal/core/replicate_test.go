@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/trace"
@@ -13,7 +14,7 @@ func TestRunReplicatedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunReplicated(sys, m, smallWorkload(), 4)
+	rep, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +42,12 @@ func TestRunReplicatedBasics(t *testing.T) {
 func TestRunReplicatedValidation(t *testing.T) {
 	sys := smallSystem()
 	m, _ := SuiteMechanism(sys, "basic")
-	if _, err := RunReplicated(sys, m, smallWorkload(), 0); err == nil {
+	if _, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 0); err == nil {
 		t.Error("zero replicas accepted")
 	}
 	bad := sys
 	bad.Horizon = 0
-	if _, err := RunReplicated(bad, m, smallWorkload(), 2); err == nil {
+	if _, err := RunReplicatedContext(context.Background(), bad, m, smallWorkload(), 2); err == nil {
 		t.Error("invalid system accepted")
 	}
 }
@@ -55,11 +56,11 @@ func TestRunReplicatedDeterministic(t *testing.T) {
 	sys := smallSystem()
 	sys.Horizon = 20000
 	m, _ := SuiteMechanism(sys, "threshold")
-	a, err := RunReplicated(sys, m, smallWorkload(), 3)
+	a, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplicated(sys, m, smallWorkload(), 3)
+	b, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestCompareReplicated(t *testing.T) {
 	w := trace.Workload{
 		Name: "cold", WritesPerLinePerSec: 1e-6, ReadsPerLinePerSec: 1e-4, FootprintFrac: 1.0,
 	}
-	base, err := RunReplicated(sys, basicM, w, 3)
+	base, err := RunReplicatedContext(context.Background(), sys, basicM, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, err := RunReplicated(sys, combM, w, 3)
+	prop, err := RunReplicatedContext(context.Background(), sys, combM, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestCompareReplicated(t *testing.T) {
 	if ci.EnergyReductionPct <= 0 {
 		t.Errorf("energy reduction %.1f%% should be positive", ci.EnergyReductionPct)
 	}
-	if ci.WriteFactorStderr < 0 || ci.EnergyReductionSterr < 0 {
+	if ci.WriteFactorStderr < 0 || ci.EnergyReductionStderr < 0 {
 		t.Error("negative standard errors")
 	}
 	// Mismatched replica counts are rejected.

@@ -74,7 +74,7 @@ type ChunkReport struct {
 }
 
 // NewDevice validates the spec and initialises a persistent device at
-// simulated time zero. The spec's Horizon and ScrubInterval are not used
+// simulated time zero. The spec's Horizon and Interval are not used
 // for stepping (the caller owns time); they only need to satisfy spec
 // validation. The device takes its state from the run pool and keeps it
 // for life; its drift sampler is the shared cached one, which is
@@ -114,23 +114,6 @@ func (d *Device) Totals() Result {
 	// what a one-shot run would report at this point.
 	d.s.foldInstr(&res)
 	return res
-}
-
-// applyDemand advances demand traffic over [d.t, d.t+dt): workload writes
-// land at uniform times inside the window, exactly as the one-shot run
-// loop applies them ahead of a substep's visits.
-func (d *Device) applyDemand(dt float64, rep *ChunkReport) {
-	s := d.s
-	before := s.res.DemandWrites
-	s.eventBuf = s.source.WritesInEpoch(s.rng, d.t, dt, s.eventBuf)
-	for _, line := range s.eventBuf {
-		tw := d.t + s.rng.Float64()*dt
-		s.writeLine(s.mapSlot(line), tw)
-		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
-		s.res.DemandWrites++
-		s.recordArrayWrite(tw)
-	}
-	rep.DemandWrites += s.res.DemandWrites - before
 }
 
 // visitObserved performs one scrub visit at time tv and derives the
@@ -184,9 +167,8 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
 		return ChunkReport{}, fmt.Errorf("engine: patrol chunk dt must be positive and finite, got %g", dt)
 	}
-	rep := ChunkReport{SimSeconds: dt, Observations: obs[:0]}
-	d.applyDemand(dt, &rep)
 	s := d.s
+	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
 	rs := scrub.RoundStats{Capability: s.scheme.T()}
 	for j := 0; j < n; j++ {
 		slot := int(s.visitOrder[d.cursor])
@@ -200,15 +182,7 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 		if s.lev != nil && slot == s.lev.Gap() {
 			continue
 		}
-		// Patrol bias toward the at-risk set, same one-for-one visit
-		// replacement as the one-shot run loop.
-		if s.prof != nil {
-			if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
-				slot = r
-				s.prof.redirected++
-			}
-		}
-		d.visitObserved(slot, tv, &rs, &rep)
+		d.visitObserved(s.patrolTarget(slot), tv, &rs, &rep)
 	}
 	d.t += dt
 	// A completed patrol pass is the device analogue of a sweep: it is
@@ -231,9 +205,8 @@ func (d *Device) ScrubRange(first, count int, dt float64, obs []LineObservation)
 	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
 		return ChunkReport{}, fmt.Errorf("engine: scrub range dt must be positive and finite, got %g", dt)
 	}
-	rep := ChunkReport{SimSeconds: dt, Observations: obs[:0]}
-	d.applyDemand(dt, &rep)
 	s := d.s
+	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
 	rs := scrub.RoundStats{Capability: s.scheme.T()}
 	for j := 0; j < count; j++ {
 		slot := s.mapSlot(first + j)

@@ -1,12 +1,13 @@
 // Package engine owns the canonical simulation run pipeline: every
-// execution path in the repository — the core runners, the scrubd worker
-// pool, cluster shard execution, and the fleet's long-lived devices —
-// funnels into the engine's single per-line scrub/detect/correct/write-back
-// loop.
+// execution path in the repository — single runs, core's matrix and
+// replication runners, the scrubd worker pool, cluster shard execution,
+// and the fleet's long-lived devices — funnels into the engine's single
+// per-line scrub/detect/correct/write-back loop.
 //
-// The engine takes a resolved Spec (one struct subsuming the system
-// description, the mechanism under test, and the optional substrates) and
-// executes it with:
+// The engine's one input is a Spec, the composition of the machine
+// (System), the mechanism under test (Mechanism), the workload, and the
+// optional substrates (Options). A run is
+// RunContext(ctx, ResolveSpec(sys, mech, workload, opts)), executed with:
 //
 //   - process-wide run totals (see Stats) surfaced on scrubd's /metrics;
 //   - bounded-latency cancellation: ctx is polled every visitStride scrub

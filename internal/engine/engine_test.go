@@ -34,21 +34,21 @@ func testWorkload() trace.Workload {
 // with the basic full-decode patrol. Tests override knobs on the copy.
 func testSpec() Spec {
 	return Spec{
-		Geometry: mem.Geometry{
-			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
-			RowsPerBank: 16, LinesPerRow: 8, LineBytes: 64,
+		System: System{
+			Geometry: mem.Geometry{
+				Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
+				RowsPerBank: 16, LinesPerRow: 8, LineBytes: 64,
+			},
+			PCM:      pcm.DefaultParams(),
+			Mix:      pcm.UniformMix(),
+			Wear:     wear.DefaultParams(),
+			Energy:   energy.DefaultParams(),
+			Horizon:  25000,
+			Substeps: 8,
+			Seed:     42,
 		},
-		PCM:           pcm.DefaultParams(),
-		Mix:           pcm.UniformMix(),
-		Wear:          wear.DefaultParams(),
-		Energy:        energy.DefaultParams(),
-		Scheme:        ecc.MustBCHLine(4),
-		Policy:        scrub.Basic(),
-		ScrubInterval: 5000,
-		Horizon:       25000,
-		Substeps:      8,
-		Workload:      testWorkload(),
-		Seed:          42,
+		Mechanism: Mechanism{Scheme: ecc.MustBCHLine(4), Policy: scrub.Basic(), Interval: 5000},
+		Workload:  testWorkload(),
 	}
 }
 

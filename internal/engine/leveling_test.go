@@ -13,7 +13,7 @@ func hotSpec() Spec {
 	cfg.Workload.WritesPerLinePerSec = 0.02
 	cfg.Workload.FootprintFrac = 0.05 // 12 hot lines out of 256
 	cfg.Workload.ZipfSkew = 1.2
-	cfg.ScrubInterval = 5000
+	cfg.Interval = 5000
 	cfg.Horizon = 50000
 	return cfg
 }
@@ -82,7 +82,7 @@ func TestLevelingPreservesReliabilityBehaviour(t *testing.T) {
 	// Leveling redistributes wear; it must not change the drift story:
 	// the combined-style policy still sees roughly the same UE counts.
 	cfg := testSpec()
-	cfg.ScrubInterval = 40000
+	cfg.Interval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
 	cfg.Policy = scrub.Threshold(4)

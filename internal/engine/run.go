@@ -86,11 +86,8 @@ type state struct {
 }
 
 // trackK is the number of earliest crossings a run tracks per line: the
-// spec's override, else the scheme's correction capability plus slack.
+// scheme's correction capability plus slack.
 func trackK(spec Spec) int {
-	if spec.TrackK != 0 {
-		return spec.TrackK
-	}
 	return min(max(spec.Scheme.T()+4, 8), 16)
 }
 
@@ -368,6 +365,34 @@ func (s *state) recordArrayWrite(t float64) {
 	}
 }
 
+// applyDemand lands the workload's demand writes for [t0, t0+dt) at
+// uniform times inside the window and returns how many it applied.
+func (s *state) applyDemand(t0, dt float64) int {
+	s.eventBuf = s.source.WritesInEpoch(s.rng, t0, dt, s.eventBuf)
+	for _, line := range s.eventBuf {
+		tw := t0 + s.rng.Float64()*dt
+		s.writeLine(s.mapSlot(line), tw)
+		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
+		s.res.DemandWrites++
+		s.recordArrayWrite(tw)
+	}
+	return len(s.eventBuf)
+}
+
+// patrolTarget returns the slot a patrol visit aimed at slot actually
+// scrubs. Under active profiling every period-th visit is re-aimed at an
+// at-risk line instead of the uniform patrol target; the visit count is
+// unchanged, so biased scheduling spends the same scrub bandwidth.
+func (s *state) patrolTarget(slot int) int {
+	if s.prof != nil {
+		if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
+			s.prof.redirected++
+			return r
+		}
+	}
+	return slot
+}
+
 // chargeDecode charges the scheme's full decode cost to the ledger.
 func (s *state) chargeDecode(l *energy.Ledger) {
 	if ws, ok := s.scheme.(secdedLike); ok {
@@ -482,7 +507,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 // returns within O(visitStride) visits of ctx ending.
 func (s *state) run(ctx context.Context) error {
 	t := 0.0
-	interval := s.spec.ScrubInterval
+	interval := s.spec.Interval
 	sinceCheck := 0
 	for t+interval <= s.spec.Horizon+1e-9 {
 		// Injected controller faults: a stall stretches this sweep's
@@ -506,14 +531,7 @@ func (s *state) run(ctx context.Context) error {
 			}
 			t0 := t + float64(step)*dt
 			// Demand writes land before this substep's visits.
-			s.eventBuf = s.source.WritesInEpoch(s.rng, t0, dt, s.eventBuf)
-			for _, line := range s.eventBuf {
-				tw := t0 + s.rng.Float64()*dt
-				s.writeLine(s.mapSlot(line), tw)
-				s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
-				s.res.DemandWrites++
-				s.recordArrayWrite(tw)
-			}
+			s.applyDemand(t0, dt)
 			// Scrub visits for this slice of the patrol order. With
 			// leveling enabled the slot currently serving as the gap
 			// holds stale data and is skipped.
@@ -536,18 +554,8 @@ func (s *state) run(ctx context.Context) error {
 				if s.lev != nil && slot == s.lev.Gap() {
 					continue
 				}
-				// Profiling bias: every period-th visit is re-aimed at an
-				// at-risk line instead of the uniform patrol target. The
-				// visit count per sweep is unchanged — biased scheduling
-				// spends the same scrub bandwidth.
-				if s.prof != nil {
-					if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
-						slot = r
-						s.prof.redirected++
-					}
-				}
 				tv := t + sweepDur*float64(pos)/float64(s.slots)
-				s.visit(slot, tv, &rs)
+				s.visit(s.patrolTarget(slot), tv, &rs)
 			}
 		}
 		t += sweepDur

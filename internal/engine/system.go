@@ -7,11 +7,9 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/mem"
-	"repro/internal/memctrl"
 	"repro/internal/ondie"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
-	"repro/internal/trace"
 	"repro/internal/wear"
 )
 
@@ -20,35 +18,63 @@ import (
 // (core re-exports this type; the study's defaults live in
 // core.DefaultSystem.)
 type System struct {
-	Geometry          mem.Geometry
-	PCM               pcm.Params
-	Mix               pcm.LevelMix
-	Wear              wear.Params
+	// Geometry shapes the simulated region.
+	Geometry mem.Geometry
+	// PCM is the drift physics.
+	PCM pcm.Params
+	// Mix is the data-dependent level distribution of written lines.
+	Mix pcm.LevelMix
+	// Wear is the endurance model.
+	Wear wear.Params
+	// InitialLineWrites pre-ages every line (0 = fresh device).
 	InitialLineWrites uint32
-	Energy            energy.Params
-	Timing            memctrl.Params
+	// Energy is the per-operation cost table.
+	Energy energy.Params
 	// Horizon is the simulated duration per run, in seconds.
 	Horizon float64
-	// Substeps per scrub sweep (0 = simulator default).
+	// Substeps per sweep (time resolution of write/scrub interleaving);
+	// 0 selects the default of 16.
 	Substeps int
 	// RiskTarget is the per-line, per-sweep probability of exceeding the
-	// ECC margin that fixed intervals are derived from.
+	// ECC margin that the mechanism ladder derives fixed intervals from.
+	// The engine itself never reads it.
 	RiskTarget float64
-	Seed       uint64
-	// Fault injects scrub-path faults into every run of this system (nil
-	// or all-zero = the perfect-scrub baseline). It lives on System, not
-	// Mechanism, because an imperfect controller afflicts every mechanism
-	// evaluated on the machine.
+	// Seed makes the run reproducible.
+	Seed uint64
+	// Fault injects scrub-path faults (imperfect reads, interrupted
+	// sweeps, detector aliasing, stuck check bits, controller stalls).
+	// nil or an all-zero plan leaves the run bit-identical to a build
+	// without fault injection. It lives on System, not Mechanism, because
+	// an imperfect controller afflicts every mechanism evaluated on the
+	// machine.
 	Fault *fault.Plan
-	// OnDie configures chip-internal ECC (nil or all-zero = none). Like
-	// Fault it lives on System, not Mechanism: the on-die code is baked
-	// into the memory parts, so every mechanism evaluated on the machine
-	// sees the same hidden-error regime.
+	// OnDie layers chip-internal ECC between the cell model and the
+	// controller codec: raw errors up to the per-line strength are
+	// silently hidden from every controller-side observation. nil or an
+	// all-zero config leaves the run bit-identical to a build without
+	// the layer. Like Fault it lives on System: the on-die code is baked
+	// into the memory parts, so every mechanism sees the same regime.
 	OnDie *ondie.Config
 }
 
-// Validate checks the system description.
+// Validate checks the system description, including the ladder's
+// RiskTarget.
 func (s *System) Validate() error {
+	if err := s.validateMachine(); err != nil {
+		return err
+	}
+	if s.Horizon <= 0 {
+		return fmt.Errorf("core: Horizon must be positive")
+	}
+	if s.RiskTarget <= 0 || s.RiskTarget >= 1 {
+		return fmt.Errorf("core: RiskTarget must be in (0,1)")
+	}
+	return nil
+}
+
+// validateMachine checks the parts of the system every run reads:
+// geometry, physics, energy and the fault and on-die layers.
+func (s *System) validateMachine() error {
 	if err := s.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -64,76 +90,43 @@ func (s *System) Validate() error {
 	if err := s.Energy.Validate(); err != nil {
 		return err
 	}
-	if err := s.Timing.Validate(); err != nil {
-		return err
-	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("core: Horizon must be positive")
-	}
-	if s.RiskTarget <= 0 || s.RiskTarget >= 1 {
-		return fmt.Errorf("core: RiskTarget must be in (0,1)")
-	}
 	if err := s.Fault.Validate(); err != nil {
 		return err
 	}
-	if err := s.OnDie.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return s.OnDie.Validate()
 }
 
 // Mechanism is one point in the scrub design space: an ECC scheme, a
 // policy, and an initial sweep interval.
 type Mechanism struct {
-	Name     string
-	Scheme   ecc.Scheme
-	Policy   scrub.Policy
+	Name string
+	// Scheme is the ECC protection per line.
+	Scheme ecc.Scheme
+	// Policy is the scrub decision logic.
+	Policy scrub.Policy
+	// Interval is the initial sweep interval in seconds.
 	Interval float64
 }
 
 // Options exposes simulator-only knobs that are not part of a Mechanism:
 // the optional substrates layered under the scrub study.
 type Options struct {
-	// GapMovePeriod enables Start-Gap wear leveling (0 = off).
+	// GapMovePeriod enables Start-Gap wear leveling: the gap moves after
+	// every GapMovePeriod array writes (0 disables leveling). The classic
+	// setting of 100 adds 1 % write overhead.
 	GapMovePeriod uint64
-	// SLCFraction stores this fraction of writes drift-free in SLC form.
+	// SLCFraction models form-switch storage: on each write, this fraction
+	// of lines (the compressible ones) is stored in SLC form, whose huge
+	// band separation makes drift crossings negligible. 0 disables.
 	SLCFraction float64
-	// Source replays an explicit event stream instead of the workload's
-	// synthetic generator (nil = synthetic).
+	// Source optionally overrides the Workload's synthetic generator with
+	// an explicit event stream (e.g. a trace.Replayer over a recorded
+	// trace). Workload is still required: its rates parameterise the
+	// read-race attribution and validation.
 	Source TrafficSource
-	// ECPEntries patches this many known stuck cells per line before ECC
-	// (error-correcting pointers; 0 = off).
+	// ECPEntries enables Error-Correcting Pointers: up to this many known
+	// stuck cells per line are patched before ECC sees the data (0 = off).
 	ECPEntries int
 	// RecordRounds retains per-sweep statistics in the result.
 	RecordRounds bool
-}
-
-// ResolveSpec is the repository's single conversion site from the layered
-// (system, mechanism, workload, options) description to the engine's
-// resolved Spec. Every runner — core's RunOne*/RunReplicated/shards, the
-// scrubd service, the cluster workers — goes through here, so config
-// plumbing semantics cannot drift between execution paths.
-func ResolveSpec(sys System, m Mechanism, w trace.Workload, o Options) Spec {
-	return Spec{
-		Geometry:          sys.Geometry,
-		PCM:               sys.PCM,
-		Mix:               sys.Mix,
-		Wear:              sys.Wear,
-		InitialLineWrites: sys.InitialLineWrites,
-		Energy:            sys.Energy,
-		Scheme:            m.Scheme,
-		Policy:            m.Policy,
-		ScrubInterval:     m.Interval,
-		Horizon:           sys.Horizon,
-		Substeps:          sys.Substeps,
-		Workload:          w,
-		Seed:              sys.Seed,
-		Fault:             sys.Fault,
-		OnDie:             sys.OnDie,
-		GapMovePeriod:     o.GapMovePeriod,
-		SLCFraction:       o.SLCFraction,
-		Source:            o.Source,
-		ECPEntries:        o.ECPEntries,
-		RecordRounds:      o.RecordRounds,
-	}
 }

@@ -43,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/ondie"
-	"repro/internal/scrub"
 	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -542,10 +541,4 @@ func loadTrace(sys core.System, path string) (engine.TrafficSource, error) {
 		return nil, err
 	}
 	return trace.NewReplayer(events, sys.Geometry.TotalLines())
-}
-
-// parsePolicy builds a policy from a compact CLI spec (shared with the
-// scrubd job API).
-func parsePolicy(spec string) (scrub.Policy, error) {
-	return scrub.ByName(spec)
 }

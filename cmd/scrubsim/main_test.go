@@ -12,6 +12,8 @@ import (
 	"repro/internal/service"
 )
 
+// The -policy flag is parsed by scrub.ByName (shared with the scrubd job
+// API); these tests pin the specs the CLI documents.
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		spec   string
@@ -25,21 +27,21 @@ func TestParsePolicy(t *testing.T) {
 		{"combined-5", "combined", scrub.LightDetect},
 	}
 	for _, c := range cases {
-		p, err := parsePolicy(c.spec)
+		p, err := scrub.ByName(c.spec)
 		if err != nil {
-			t.Fatalf("parsePolicy(%q): %v", c.spec, err)
+			t.Fatalf("scrub.ByName(%q): %v", c.spec, err)
 		}
 		if p.Name() != c.name {
-			t.Errorf("parsePolicy(%q).Name() = %q, want %q", c.spec, p.Name(), c.name)
+			t.Errorf("scrub.ByName(%q).Name() = %q, want %q", c.spec, p.Name(), c.name)
 		}
 		if p.Detection() != c.detect {
-			t.Errorf("parsePolicy(%q) detection = %v, want %v", c.spec, p.Detection(), c.detect)
+			t.Errorf("scrub.ByName(%q) detection = %v, want %v", c.spec, p.Detection(), c.detect)
 		}
 	}
 }
 
 func TestParsePolicyThresholdSemantics(t *testing.T) {
-	p, err := parsePolicy("threshold-4")
+	p, err := scrub.ByName("threshold-4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,8 @@ func TestParsePolicyThresholdSemantics(t *testing.T) {
 
 func TestParsePolicyRejectsUnknown(t *testing.T) {
 	for _, spec := range []string{"", "bogus", "threshold-", "threshold-x", "combined"} {
-		if _, err := parsePolicy(spec); err == nil {
-			t.Errorf("parsePolicy(%q) accepted", spec)
+		if _, err := scrub.ByName(spec); err == nil {
+			t.Errorf("scrub.ByName(%q) accepted", spec)
 		}
 	}
 }

@@ -4,6 +4,11 @@
 // study relies on to tolerate multiple drift errors per line between
 // scrub visits (SECDED corrects 1 bit; BCH-t corrects t bits).
 //
+// Each step is the plain scalar algorithm: a bit-serial LFSR encoder,
+// per-bit syndrome accumulation and a Horner-evaluated Chien search. The
+// simulator judges a line by comparing its error count with T, so only
+// tests, fuzzing and the codec examples run this code.
+//
 // Codes may be shortened: a payload of any length up to K data bits is
 // supported, with the unused high-order message positions fixed at zero.
 //
@@ -18,9 +23,7 @@ package bch
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"repro/internal/codekit"
 	"repro/internal/gf2"
 )
 
@@ -30,11 +33,7 @@ import (
 var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 
 // Code is a binary BCH code with designed correction capability T over
-// GF(2^m). The public methods run on the word-parallel lookup kernels in
-// internal/codekit; the original scalar pipeline is preserved behind Ref
-// as the byte-identical reference codec. Immutable after construction
-// (kernel tables are built lazily, guarded by a sync.Once) and safe for
-// concurrent use.
+// GF(2^m). Immutable after construction and safe for concurrent use.
 type Code struct {
 	field *gf2.Field
 	n     int // full code length 2^m - 1
@@ -42,9 +41,6 @@ type Code struct {
 	t     int // designed correction capability
 
 	gen []byte // generator polynomial coefficients (0/1), degree n-k
-
-	kernOnce sync.Once
-	kern     *kernels
 }
 
 // New constructs a t-error-correcting binary BCH code over GF(2^m).
@@ -150,43 +146,36 @@ func (c *Code) checkDecodeArgs(msgBits int) error {
 // Encode systematically encodes msgBits bits of msg (LSB-first packing)
 // and returns a fresh codeword buffer of CodewordBytes(msgBits) bytes.
 // It returns an error if msgBits exceeds K or msg is too short.
-//
-// The parity remainder is computed eight message bits per step through
-// the code's byte-wise remainder table; codes with a parity width under
-// 8 bits fall back to the bit-serial LFSR (see CodeRef.Encode).
 func (c *Code) Encode(msg []byte, msgBits int) ([]byte, error) {
 	if err := c.checkEncodeArgs(msg, msgBits); err != nil {
 		return nil, err
 	}
 	p := c.ParityBits()
 	cw := make([]byte, c.CodewordBytes(msgBits))
-	// Message bits into positions p..p+msgBits-1 (word-wide OR-shift).
-	codekit.OrShiftBits(cw, p, msg, msgBits)
-	kr := c.kernels().rem
-	if kr == nil {
-		c.encodeParityScalar(cw, msg, msgBits)
-		return cw, nil
+	// Copy message bits into positions p..p+msgBits-1.
+	for i := 0; i < msgBits; i++ {
+		if getBit(msg, i) == 1 {
+			setBit(cw, p+i)
+		}
 	}
-	var remArr [8]uint64
-	var rem []uint64
-	if w := kr.Words(); w <= len(remArr) {
-		rem = remArr[:w]
-	} else {
-		rem = make([]uint64, w)
+	// parity = (m(x)·x^p) mod g(x), by a bit-serial LFSR over GF(2).
+	rem := make([]byte, p)
+	for i := msgBits - 1; i >= 0; i-- {
+		feedback := getBit(msg, i) ^ rem[p-1]
+		// Shift rem up by one degree.
+		copy(rem[1:], rem[:p-1])
+		rem[0] = 0
+		if feedback == 1 {
+			for j := 0; j < p; j++ {
+				rem[j] ^= c.gen[j]
+			}
+		}
 	}
-	// The LFSR consumes high-degree coefficients first: a leading
-	// partial byte bit-serially, then whole message bytes top-down,
-	// eight coefficients per table step.
-	i := msgBits
-	for i%8 != 0 {
-		i--
-		kr.UpdateBit(rem, getBit(msg, i))
+	for j := 0; j < p; j++ {
+		if rem[j] == 1 {
+			setBit(cw, j)
+		}
 	}
-	for i >= 8 {
-		i -= 8
-		kr.Update(rem, msg[i/8])
-	}
-	codekit.OrWordsBits(cw, rem, p)
 	return cw, nil
 }
 
@@ -203,42 +192,28 @@ func (c *Code) ExtractMessage(cw []byte, msgBits int) []byte {
 	return out
 }
 
-// syndromes computes S_1..S_2t of the received word. Only the odd power
-// sums go through the per-byte lookup tables; the even ones follow by
-// squaring (S_2j = S_j² in characteristic 2, so every even index chains
-// down to an already-known one). The boolean result is true if every
-// syndrome is zero (no detected error) — equivalent to every *odd*
-// syndrome being zero, since the evens are squares of them.
+// syndromes computes S_1..S_2t one set bit at a time through the
+// field's antilog table. The boolean result is true if every syndrome is
+// zero (no detected error).
 func (c *Code) syndromes(cw []byte, msgBits int) ([]uint32, bool) {
+	total := c.ParityBits() + msgBits
 	synd := make([]uint32, 2*c.t)
-	odd := synd[:c.t]
-	c.kernels().synd.Accumulate(odd, cw, c.ParityBits()+msgBits)
 	clean := true
-	for _, s := range odd {
+	for i := 0; i < total; i++ {
+		if getBit(cw, i) == 0 {
+			continue
+		}
+		for j := range synd {
+			synd[j] ^= c.field.Exp(int64(i) * int64(j+1))
+		}
+	}
+	for _, s := range synd {
 		if s != 0 {
 			clean = false
 			break
 		}
 	}
-	// Spread the odd sums to their final slots (synd[j-1] = S_j), highest
-	// first so a write to slot 2i never lands on a not-yet-moved odd
-	// accumulator, then square the evens in increasing order (slot j/2-1
-	// is final before slot j-1 is written).
-	for i := c.t - 1; i >= 0; i-- {
-		synd[2*i] = odd[i]
-	}
-	for j := 2; j <= 2*c.t; j += 2 {
-		synd[j-1] = c.field.Sqr(synd[j/2-1])
-	}
 	return synd, clean
-}
-
-// Syndrome returns the power-sum syndromes S_1..S_2t of the received
-// word in a fresh slice, computed on the kernel path. CodeRef.Syndrome
-// is the bit-serial reference for the same values.
-func (c *Code) Syndrome(cw []byte, msgBits int) []uint32 {
-	synd, _ := c.syndromes(cw, msgBits)
-	return synd
 }
 
 // Detect reports whether the codeword contains any detectable error. This
@@ -254,11 +229,6 @@ func (c *Code) Detect(cw []byte, msgBits int) bool {
 // Decode corrects up to T bit errors in cw in place and returns the number
 // of bits corrected. It returns ErrUncorrectable (leaving cw unspecified)
 // when the error pattern exceeds the code's capability.
-//
-// The pipeline runs on the kernel path — table-driven syndromes, shared
-// Berlekamp–Massey, branch-free incremental Chien search — and is
-// byte-identical to CodeRef.Decode on every input (the differential fuzz
-// contract).
 func (c *Code) Decode(cw []byte, msgBits int) (int, error) {
 	if err := c.checkDecodeArgs(msgBits); err != nil {
 		return 0, err
@@ -272,7 +242,7 @@ func (c *Code) Decode(cw []byte, msgBits int) (int, error) {
 	if L > c.t {
 		return 0, ErrUncorrectable
 	}
-	positions, ok := codekit.ChienSearch(c.field, sigma, c.ParityBits()+msgBits, c.n, make([]int, 0, c.t))
+	positions, ok := c.chien(sigma, c.ParityBits()+msgBits)
 	if !ok || len(positions) != L {
 		return 0, ErrUncorrectable
 	}
@@ -327,4 +297,24 @@ func (c *Code) berlekampMassey(s []uint32) []uint32 {
 		}
 	}
 	return cPoly[:L+1]
+}
+
+// chien finds error positions by evaluating σ(α^{-i}) with Horner's
+// rule at every candidate position. The second result is false if a root
+// lies outside the shortened support (i.e. in the always-zero region),
+// which means the pattern is invalid.
+func (c *Code) chien(sigma []uint32, support int) ([]int, bool) {
+	f := c.field
+	var positions []int
+	degree := len(sigma) - 1
+	for i := 0; i < c.n && len(positions) <= degree; i++ {
+		x := f.Exp(-int64(i))
+		if gf2.PolyEval(f, gf2.Poly(sigma), x) == 0 {
+			if i >= support {
+				return nil, false
+			}
+			positions = append(positions, i)
+		}
+	}
+	return positions, true
 }

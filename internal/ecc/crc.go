@@ -1,19 +1,12 @@
 package ecc
 
-import "repro/internal/codekit"
-
 // CRC16 is the lightweight error detector used for cheap scrub reads: a
 // CRC-16/CCITT-FALSE checksum stored alongside each line. Detection is a
 // checksum recompute-and-compare — far cheaper than a BCH syndrome/decode
 // pipeline — at the cost of providing no correction and a 2^-16 aliasing
 // probability for dense error patterns.
-//
-// Sum runs on the slicing-by-8 kernel (eight input bytes per iteration);
-// SumRef is the original one-byte-per-step table loop, preserved as the
-// bit-identical reference.
 type CRC16 struct {
 	table [256]uint16
-	slice *codekit.CRC16Slicing
 }
 
 // CRCPoly is the CCITT polynomial x^16 + x^12 + x^5 + 1.
@@ -21,7 +14,7 @@ const CRCPoly = 0x1021
 
 // NewCRC16 builds the detector (table-driven, MSB-first).
 func NewCRC16() *CRC16 {
-	c := &CRC16{slice: codekit.NewCRC16Slicing(CRCPoly)}
+	c := &CRC16{}
 	for i := 0; i < 256; i++ {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
@@ -36,14 +29,9 @@ func NewCRC16() *CRC16 {
 	return c
 }
 
-// Sum returns the CRC-16/CCITT-FALSE checksum of data (init 0xFFFF).
+// Sum returns the CRC-16/CCITT-FALSE checksum of data (init 0xFFFF),
+// one table lookup per input byte.
 func (c *CRC16) Sum(data []byte) uint16 {
-	return c.slice.Update(0xFFFF, data)
-}
-
-// SumRef returns the same checksum via the serial one-byte-per-step
-// table loop — the reference for the slicing kernel.
-func (c *CRC16) SumRef(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
 		crc = crc<<8 ^ c.table[byte(crc>>8)^b]

@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -118,13 +119,26 @@ func FuzzBCHLineRoundTrip(f *testing.F) {
 // independent (72,64) words per line. Any single flip per word corrects
 // cleanly; a double flip within one word must be detected and refused,
 // never silently "fixed".
+//
+// The same input also drives one (72,64) word on its own, at the weight
+// the top two bits of posSeed give (0..3: clean, corrected, refused, and
+// the triple-flip aliasing regime), and an arbitrary word and line
+// buffer drawn from posSeed. Wherever correction is not guaranteed,
+// Decode must either refuse or leave a buffer Detect calls clean.
 func FuzzSECDEDLineRoundTrip(f *testing.F) {
 	codec := NewSECDEDLine()
+	secded := MustSECDED(64)
 	f.Add([]byte{}, uint64(17), false)
 	f.Add([]byte("secded-corpus"), uint64(5), false)
 	f.Add([]byte{0x80, 0x01}, uint64(33), true)
+	f.Add([]byte{0xff}, uint64(1<<62|2), false)         // word weight 1
+	f.Add([]byte("double-bit"), uint64(2<<62|3), true)  // word weight 2
+	f.Add([]byte("triple-bit"), uint64(3<<62|4), false) // word weight 3
+	f.Add([]byte{0xa5, 0x5a}, uint64(3<<62|0xbeef), true)
 	f.Fuzz(func(t *testing.T, data []byte, posSeed uint64, double bool) {
 		line := fillLine(data)
+		fuzzSECDEDArbitrary(t, secded, codec, line[:8], posSeed)
+
 		cw, err := codec.EncodeLine(line)
 		if err != nil {
 			t.Fatalf("EncodeLine: %v", err)
@@ -166,4 +180,52 @@ func FuzzSECDEDLineRoundTrip(f *testing.F) {
 			t.Fatal("decoded payload differs from original line")
 		}
 	})
+}
+
+// fuzzSECDEDArbitrary encodes data on one SECDED word, flips posSeed>>62
+// distinct bits and checks the verdict each weight calls for, then
+// decodes an arbitrary word and line buffer drawn from posSeed.
+func fuzzSECDEDArbitrary(t *testing.T, word *SECDED, line *SECDEDLine, data []byte, posSeed uint64) {
+	t.Helper()
+	orig, err := word.Encode(data)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	nflips := int(posSeed >> 62)
+	rng := fuzzRNG(posSeed)
+	cw := append([]byte(nil), orig...)
+	for _, p := range fuzzDistinct(&rng, nflips, word.CodewordBits()) {
+		fuzzFlip(cw, p)
+	}
+	if got := word.Detect(cw); nflips < 3 && got != (nflips > 0) {
+		t.Fatalf("weight %d: Detect = %v", nflips, got)
+	}
+	n, err := word.Decode(cw)
+	switch {
+	case nflips <= 1:
+		if err != nil || n != nflips || !bytes.Equal(cw, orig) {
+			t.Fatalf("weight %d: Decode = (%d, %v), restored %v", nflips, n, err, bytes.Equal(cw, orig))
+		}
+	case nflips == 2:
+		if !errors.Is(err, ErrUncorrectable) {
+			t.Fatalf("weight 2: Decode = (%d, %v), want ErrUncorrectable", n, err)
+		}
+	case err == nil && word.Detect(cw):
+		t.Fatal("weight 3: decode left a detectable word")
+	}
+
+	raw := make([]byte, word.CodewordBytes())
+	for i := range raw {
+		raw[i] = byte(rng.next())
+	}
+	if _, err := word.Decode(raw); err == nil && word.Detect(raw) {
+		t.Fatal("decode of a random word buffer left a detectable word")
+	}
+	raw = make([]byte, line.LineCodewordBytes())
+	for i := range raw {
+		raw[i] = byte(rng.next())
+	}
+	if _, err := line.DecodeLine(raw); err == nil && line.DetectLine(raw) {
+		t.Fatal("decode of a random line buffer left a detectable line")
+	}
 }

@@ -1,9 +1,6 @@
 package ecc
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // SECDED is an extended Hamming code over an arbitrary payload: it corrects
 // any single bit error and detects any double bit error in one word. This
@@ -13,21 +10,12 @@ import (
 // the classical 1-indexed Hamming arrangement, with parity bits at
 // power-of-two positions, data bits filling the rest, plus an overall
 // parity bit appended at the end.
-//
-// Encode and Decode run on per-byte lookup kernels (internal/codekit);
-// the original bit-at-a-time implementation is preserved behind Ref as
-// the byte-identical reference codec.
 type SECDED struct {
 	dataBits  int
 	hamBits   int // Hamming parity bits (excluding overall parity)
 	totalBits int // dataBits + hamBits + 1
 	// dataPos[i] is the 1-indexed Hamming position of data bit i.
 	dataPos []int
-	// posKind[p] for p in 1..dataBits+hamBits: -1 parity, else data index.
-	posKind []int
-
-	kernOnce sync.Once
-	kern     *secdedKernels
 }
 
 // NewSECDED builds a SECDED codec for the given payload width in bits.
@@ -42,15 +30,12 @@ func NewSECDED(dataBits int) (*SECDED, error) {
 		hamBits:   r,
 		totalBits: n + 1,
 		dataPos:   make([]int, dataBits),
-		posKind:   make([]int, n+1),
 	}
 	di := 0
 	for p := 1; p <= n; p++ {
 		if p&(p-1) == 0 { // power of two: parity position
-			c.posKind[p] = -1
 			continue
 		}
-		c.posKind[p] = di
 		c.dataPos[di] = p
 		di++
 	}
@@ -81,23 +66,12 @@ func (c *SECDED) CodewordBits() int { return c.totalBits }
 // CodewordBytes returns the codeword buffer size in bytes.
 func (c *SECDED) CodewordBytes() int { return (c.totalBits + 7) / 8 }
 
-// Encode returns a fresh codeword for the first DataBits bits of data,
-// built with one scatter-table XOR per payload byte (data placement,
-// Hamming parity and overall parity in the same lookup).
+// Encode returns a fresh codeword for the first DataBits bits of data.
 func (c *SECDED) Encode(data []byte) ([]byte, error) {
 	if len(data)*8 < c.dataBits {
 		return nil, fmt.Errorf("ecc: data buffer too short: %d bytes for %d bits", len(data), c.dataBits)
 	}
 	cw := make([]byte, c.CodewordBytes())
-	var acc [4]uint64
-	c.kernels().scatter.Encode(cw, data, acc[:])
-	return cw, nil
-}
-
-// encodeScalar writes the codeword of data into cw bit by bit — the
-// original reference encoder, kept as the behavioural contract and as
-// the generator of the scatter table's unit codewords. cw must be zeroed.
-func (c *SECDED) encodeScalar(cw []byte, data []byte) {
 	n := c.totalBits - 1
 	// Place data bits. Codeword bit index = Hamming position - 1.
 	for i := 0; i < c.dataBits; i++ {
@@ -127,17 +101,12 @@ func (c *SECDED) encodeScalar(cw []byte, data []byte) {
 	if overall == 1 {
 		setBit(cw, n)
 	}
+	return cw, nil
 }
 
-// syndrome computes the Hamming syndrome and the overall parity of cw,
-// one codeword byte per table lookup.
+// syndrome computes the Hamming syndrome (the XOR of the positions of
+// every set bit) and the overall parity of cw.
 func (c *SECDED) syndrome(cw []byte) (synd int, overall byte) {
-	return c.kernels().ham.Syndrome(cw)
-}
-
-// syndromeRef is the original bit-scan syndrome, preserved for the
-// reference codec.
-func (c *SECDED) syndromeRef(cw []byte) (synd int, overall byte) {
 	n := c.totalBits - 1
 	for p := 1; p <= n; p++ {
 		if getBit(cw, p-1) == 1 {

@@ -105,26 +105,6 @@ func (l *SECDEDLine) ExtractLine(cw []byte) []byte {
 	return out
 }
 
-// DecodeLineRef is DecodeLine on the scalar reference codec — the
-// baseline for the kernel speedup benchmarks and the differential fuzz
-// contract.
-func (l *SECDEDLine) DecodeLineRef(cw []byte) (int, error) {
-	wb := l.word.CodewordBytes()
-	if len(cw) != l.Words()*wb {
-		return 0, fmt.Errorf("ecc: line codeword must be %d bytes, got %d", l.Words()*wb, len(cw))
-	}
-	ref := l.word.Ref()
-	total := 0
-	for w := 0; w < l.Words(); w++ {
-		n, err := ref.Decode(cw[w*wb : (w+1)*wb])
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // BCHLine protects a whole 64-byte line with one BCH-t code over GF(2^10).
 type BCHLine struct {
 	code *bch.Code
@@ -189,21 +169,6 @@ func (l *BCHLine) DecodeLine(cw []byte) (int, error) {
 
 // DetectLine implements LineCodec.
 func (l *BCHLine) DetectLine(cw []byte) bool { return l.code.Detect(cw, LineBits) }
-
-// DecodeLineRef is DecodeLine on the scalar reference codec — the
-// baseline for the kernel speedup benchmarks and the differential fuzz
-// contract.
-func (l *BCHLine) DecodeLineRef(cw []byte) (int, error) {
-	n, err := l.code.Ref().Decode(cw, LineBits)
-	if err != nil {
-		return n, ErrUncorrectable
-	}
-	return n, nil
-}
-
-// Code exposes the underlying BCH code (for benchmarks and fuzz
-// harnesses that exercise fast and reference paths directly).
-func (l *BCHLine) Code() *bch.Code { return l.code }
 
 // ExtractLine copies the 64-byte payload back out of a line codeword.
 func (l *BCHLine) ExtractLine(cw []byte) []byte {

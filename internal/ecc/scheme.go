@@ -3,6 +3,11 @@
 // DRAM baseline), line-level BCH schemes (the paper's strong ECC), and a
 // CRC-based lightweight error *detector* (the paper's cheap scrub-read
 // check that avoids a full decode).
+//
+// The simulator only asks a Scheme whether an error count is
+// correctable; the codecs themselves are plain scalar code, run by
+// tests, fuzzing and the codec examples to show that each scheme's
+// claimed strength is backed by a real encoder and decoder.
 package ecc
 
 import (

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +18,10 @@ var (
 	ErrNotFound = errors.New("fleet: device not found")
 	ErrClosed   = errors.New("fleet: manager closed")
 )
+
+// errJournal marks a failed journal append: the request was fine, but
+// the action it asked for may not survive a restart.
+var errJournal = errors.New("fleet: journal append failed")
 
 // Manager is the fleet control plane: the device registry, one patrol
 // session goroutine per device, journal-backed durability for device and
@@ -72,21 +75,25 @@ func (m *Manager) Register(spec DeviceSpec) (DeviceView, error) {
 	if err != nil {
 		return DeviceView{}, err
 	}
-	if m.jnl != nil {
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			return DeviceView{}, fmt.Errorf("fleet: encode device spec: %w", err)
-		}
-		if err := m.jnl.Append(journal.Record{
-			Type: journal.TypeFleetDevice, Job: id, Spec: raw,
-		}); err != nil {
-			return DeviceView{}, err
-		}
-	}
+	// The record is appended under m.mu, after the closed check, so a
+	// registration refused by Shutdown is never journaled (and so never
+	// resurrected by the next Recover).
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return DeviceView{}, ErrClosed
+	}
+	if m.jnl != nil {
+		raw, err := json.Marshal(spec)
+		if err == nil {
+			err = m.jnl.Append(journal.Record{
+				Type: journal.TypeFleetDevice, Job: id, Spec: raw,
+			})
+		}
+		if err != nil {
+			m.mu.Unlock()
+			return DeviceView{}, fmt.Errorf("%w: %w", errJournal, err)
+		}
 	}
 	m.devices[id] = d
 	m.order = append(m.order, id)
@@ -216,6 +223,8 @@ func (m *Manager) Remove(id string) error {
 
 // Patch applies a patrol patch to a device and journals the merged
 // configuration, so a restart resumes the session at the patched rate.
+// If the journal append fails the patch is live in this process but
+// not durable, and Patch returns the error.
 func (m *Manager) Patch(id string, p PatrolPatch) (PatrolConfig, error) {
 	d, err := m.device(id)
 	if err != nil {
@@ -226,11 +235,14 @@ func (m *Manager) Patch(id string, p PatrolPatch) (PatrolConfig, error) {
 		return PatrolConfig{}, err
 	}
 	if m.jnl != nil {
-		raw, merr := json.Marshal(cfg)
-		if merr == nil {
-			_ = m.jnl.Append(journal.Record{
-				Type: journal.TypeFleetPatrol, Job: id, Payload: raw,
-			})
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			return PatrolConfig{}, fmt.Errorf("%w: encode patrol config: %w", errJournal, err)
+		}
+		if err := m.jnl.Append(journal.Record{
+			Type: journal.TypeFleetPatrol, Job: id, Payload: raw,
+		}); err != nil {
+			return PatrolConfig{}, fmt.Errorf("%w: %w", errJournal, err)
 		}
 	}
 	return cfg, nil
@@ -401,13 +413,4 @@ func (m *Manager) Snapshot() Totals {
 		t.DeviceSeconds += v.DeviceSeconds
 	}
 	return t
-}
-
-// sortedIDs returns the live device IDs sorted, for deterministic tests.
-func (m *Manager) sortedIDs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := append([]string(nil), m.order...)
-	sort.Strings(ids)
-	return ids
 }

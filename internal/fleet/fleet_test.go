@@ -349,6 +349,33 @@ func TestManagerJournalRecovery(t *testing.T) {
 }
 
 // TestLiveSessionProgresses boots a real manager (no journal) and waits
+// TestRegisterAfterShutdownIsNotJournaled registers on a shut-down
+// manager: the refusal must leave no device record for the next
+// incarnation's Recover to resurrect.
+func TestRegisterAfterShutdownIsNotJournaled(t *testing.T) {
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	m := NewManager(jnl)
+	m.Shutdown()
+	if _, err := m.Register(testDeviceSpec(42)); err != ErrClosed {
+		t.Fatalf("Register after Shutdown: err = %v, want ErrClosed", err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal.Close: %v", err)
+	}
+	jnl2, rec, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer jnl2.Close()
+	if len(rec.FleetDevices) != 0 {
+		t.Errorf("journal replays %d devices, want 0", len(rec.FleetDevices))
+	}
+}
+
 // for the patrol session goroutine to make progress, then drains it.
 func TestLiveSessionProgresses(t *testing.T) {
 	m := NewManager(nil)

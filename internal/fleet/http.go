@@ -156,6 +156,8 @@ func statusFor(err error, fallback int) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errJournal):
+		return http.StatusInternalServerError
 	}
 	return fallback
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // doJSON issues a request against the test server and decodes the body.
@@ -141,5 +143,41 @@ func TestFleetHTTPSurface(t *testing.T) {
 	}
 	if code := doJSON(t, srv, "GET", "/v1/fleet/devices/"+dev.ID, nil, nil); code != http.StatusNotFound {
 		t.Errorf("deleted device status = %d, want 404", code)
+	}
+}
+
+// TestPatchJournalFailureIs500 closes the journal under a live device:
+// a PATCH the journal cannot record must not be acknowledged, and the
+// handler must blame the server (500), not the request (400).
+func TestPatchJournalFailureIs500(t *testing.T) {
+	jnl, _, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	m := NewManager(jnl)
+	defer m.Shutdown()
+	mux := http.NewServeMux()
+	m.RegisterRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var dev DeviceView
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices", testDeviceSpec(42), &dev); code != http.StatusCreated {
+		t.Fatalf("register status = %d, want 201", code)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal.Close: %v", err)
+	}
+	rate := 256.0 / 3600
+	if _, err := m.Patch(dev.ID, PatrolPatch{RateLinesPerSec: &rate}); err == nil {
+		t.Error("Patch succeeded on a closed journal")
+	}
+	path := "/v1/fleet/devices/" + dev.ID + "/patrol"
+	if code := doJSON(t, srv, "PATCH", path, PatrolPatch{RateLinesPerSec: &rate}, nil); code != http.StatusInternalServerError {
+		t.Errorf("PATCH on a closed journal: status %d, want 500", code)
+	}
+	bad := -1.0
+	if code := doJSON(t, srv, "PATCH", path, PatrolPatch{RateLinesPerSec: &bad}, nil); code != http.StatusBadRequest {
+		t.Errorf("invalid PATCH: status %d, want 400", code)
 	}
 }

@@ -1,11 +1,13 @@
 // Package gf2 implements arithmetic in the binary Galois fields GF(2^m)
 // and polynomials over them. It is the algebraic substrate for the BCH
-// error-correcting codes in internal/bch.
+// error-correcting codes in internal/bch and the Reed–Solomon codes in
+// internal/rs. Multiplication and inversion use log/antilog tables built
+// once per field, so they are O(1). The tables stay private to Field:
+// codecs reach them only through its methods.
 //
 // Field elements are represented as uint32 bit vectors of the coefficients
 // of the polynomial basis: element a(x) = a0 + a1·x + ... + a(m-1)·x^(m-1)
-// is the integer a0 | a1<<1 | ... . Multiplication and inversion use
-// log/antilog tables built once per field, so they are O(1).
+// is the integer a0 | a1<<1 | ... .
 package gf2
 
 import "fmt"
@@ -121,23 +123,6 @@ func (f *Field) Mul(a, b uint32) uint32 {
 		return 0
 	}
 	return f.expTbl[f.logTbl[a]+f.logTbl[b]]
-}
-
-// MulAlphaLog returns a·α^lg for non-zero a and lg in [0, N). It skips
-// the zero checks of Mul — the doubled antilog table absorbs the index
-// wrap — and exists for kernel inner loops (internal/codekit) whose
-// operands are provably non-zero.
-func (f *Field) MulAlphaLog(a uint32, lg uint32) uint32 {
-	return f.expTbl[f.logTbl[a]+lg]
-}
-
-// LogExpTables exposes the field's log table and doubled antilog table
-// for kernel inner loops (internal/codekit) that keep both slices in
-// registers instead of chasing the Field pointer per multiply. Both
-// slices are read-only; for non-zero a and lg in [0, N),
-// expTbl[logTbl[a]+lg] = a·α^lg (the MulAlphaLog identity).
-func (f *Field) LogExpTables() (logTbl, expTbl []uint32) {
-	return f.logTbl, f.expTbl
 }
 
 // Div returns a/b. It panics if b == 0.

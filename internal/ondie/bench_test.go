@@ -6,13 +6,12 @@ import (
 )
 
 // BenchmarkOnDieDecode measures the per-word on-die decode at full
-// correction load, kernel vs scalar reference, for the SECDED strength
-// (t=1) and a representative BCH strength (t=4). `make bench` records
-// the pair in BENCH_engine.json alongside the line-codec benchmarks.
+// correction load, for the SECDED strength (t=1) and a representative
+// BCH strength (t=4). `make bench` records both in BENCH_engine.json
+// alongside the line-codec benchmarks.
 func BenchmarkOnDieDecode(b *testing.B) {
 	for _, t := range []int{1, 4} {
 		codec := MustCodec(t)
-		ref := codec.Ref()
 		word := make([]byte, WordBytes)
 		for i := range word {
 			word[i] = byte(3*i + 7)
@@ -37,15 +36,6 @@ func BenchmarkOnDieDecode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(buf, dirty)
 				if _, err := codec.Decode(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("t=%d/ref", t), func(b *testing.B) {
-			b.SetBytes(WordBytes)
-			for i := 0; i < b.N; i++ {
-				copy(buf, dirty)
-				if _, err := ref.Decode(buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,6 +17,10 @@
 // draws), so enabling instrumentation or profiling around it never
 // perturbs a run's random stream, and a disabled layer is byte-identical
 // to a build without the package.
+//
+// The layer works on raw error counts and never encodes or decodes.
+// Codec, the concrete per-word code, sizes the check-bit budget and
+// backs each strength with a real encoder and decoder in tests.
 package ondie
 
 import (

@@ -163,9 +163,6 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 // K returns the number of earliest crossings tracked per line.
 func (s *LineSampler) K() int { return s.k }
 
-// Cells returns the number of cells per line.
-func (s *LineSampler) Cells() int { return s.ncells }
-
 // Model returns the underlying drift model.
 func (s *LineSampler) Model() *Model { return s.model }
 

@@ -1,172 +1,89 @@
 package service
 
 import (
-	"container/heap"
+	"slices"
 	"time"
 )
 
-// priorityQueue replaces the old FIFO channel: one earliest-deadline-
-// first heap per scheduling class, served under strict class precedence
-// (interactive before normal before batch) with an optional aging escape
-// hatch for starvation avoidance. Not safe for concurrent use; the
-// Service serialises access under its mutex and parks idle workers on a
-// condition variable.
+// priorityQueue is the queued jobs in arrival order. Not safe for
+// concurrent use; the Service serialises access under its mutex and
+// parks idle workers on a condition variable. The queue is bounded by
+// admission (64 jobs by default), so a pick is one scan.
 //
-// Order is a pure function of (class, deadline, arrival index): within a
+// Order is a pure function of (class, deadline, arrival index): strict
+// class precedence (interactive before normal before batch); within a
 // class, jobs with deadlines run earliest-deadline-first ahead of jobs
 // without one, and ties break on arrival order. Wall-clock enters only
-// through the aging knob, which is off by default.
-//
-// Alongside each heap the queue chains the class's jobs in insertion
-// order (fifoHead/fifoTail plus the job's fifoPrev/fifoNext links). The
-// aging rescue examines these list heads, not the heap heads: a
-// deadline-free job sorts behind every deadline-bearing job in its heap
-// and might never become the heap head under a steady deadline-bearing
-// stream, but it is always the FIFO head once it is the class's
-// longest-queued job, so the anti-starvation knob protects it too.
-type priorityQueue struct {
-	heaps              [numClasses]jobHeap
-	fifoHead, fifoTail [numClasses]*job
-}
+// through the aging knob, which is off by default: once the
+// longest-waiting job (the slice head, since pushes arrive in order) has
+// waited at least that long, it runs next, so neither a trickle of
+// higher-class traffic nor a steady stream of deadline-bearing siblings
+// can starve a job forever. Escalating a queued job's class or
+// tightening its deadline is an in-place field update: the job keeps its
+// place in arrival order, and with it its age.
+type priorityQueue []*job
 
-// push inserts a queued job into its class heap and FIFO chain.
+// push appends a newly queued job.
 func (q *priorityQueue) push(j *job) {
-	heap.Push(&q.heaps[j.class], j)
-	j.fifoPrev, j.fifoNext = q.fifoTail[j.class], nil
-	if j.fifoPrev != nil {
-		j.fifoPrev.fifoNext = j
-	} else {
-		q.fifoHead[j.class] = j
-	}
-	q.fifoTail[j.class] = j
+	*q = append(*q, j)
 }
 
-// unlink removes a job from its class's FIFO chain. Must run before the
-// job's class changes (escalation re-pushes under the new class).
-func (q *priorityQueue) unlink(j *job) {
-	if j.fifoPrev != nil {
-		j.fifoPrev.fifoNext = j.fifoNext
-	} else {
-		q.fifoHead[j.class] = j.fifoNext
+// remove drops a job still sitting in the queue (cancellation); a job
+// not in the queue is ignored.
+func (q *priorityQueue) remove(j *job) {
+	if i := slices.Index(*q, j); i >= 0 {
+		*q = slices.Delete(*q, i, i+1)
 	}
-	if j.fifoNext != nil {
-		j.fifoNext.fifoPrev = j.fifoPrev
-	} else {
-		q.fifoTail[j.class] = j.fifoPrev
-	}
-	j.fifoPrev, j.fifoNext = nil, nil
 }
 
-// remove unlinks a job still sitting in the queue (cancellation, class
-// escalation). Reports whether the job was present.
-func (q *priorityQueue) remove(j *job) bool {
-	if j.heapIdx < 0 {
-		return false
-	}
-	heap.Remove(&q.heaps[j.class], j.heapIdx)
-	q.unlink(j)
-	return true
-}
-
-// len is the total number of queued jobs — the occupancy that admission
-// watermarks and queue-full checks run on.
-func (q *priorityQueue) len() int {
+// classDepth reports one class's backlog.
+func (q priorityQueue) classDepth(c Class) int {
 	n := 0
-	for c := range q.heaps {
-		n += len(q.heaps[c])
+	for _, j := range q {
+		if j.class == c {
+			n++
+		}
 	}
 	return n
 }
 
-// classDepth reports one class's backlog.
-func (q *priorityQueue) classDepth(c Class) int {
-	return len(q.heaps[c])
-}
-
-// pick pops the next job to run, or nil when the queue is empty.
-//
-// Policy: strict class precedence, except that when aging > 0 and the
-// longest-queued job of some class (its FIFO head, regardless of where
-// its deadline ranks it in the heap) has waited at least that long, the
-// longest-waiting such head is served instead — so neither a trickle of
-// interactive traffic nor a steady stream of deadline-bearing siblings
-// can starve a job forever. aged reports whether the anti-starvation
-// path changed the outcome (it is a metric).
+// pick removes and returns the next job to run, or nil when the queue is
+// empty: the precedence winner, unless aging > 0 and the longest-waiting
+// job has waited at least that long. aged reports whether the aging rule
+// changed the outcome (it is a metric).
 func (q *priorityQueue) pick(now time.Time, aging time.Duration) (j *job, aged bool) {
-	if aging > 0 {
-		var oldest *job
-		for c := Class(0); c < numClasses; c++ {
-			head := q.fifoHead[c]
-			if head == nil {
-				continue
-			}
-			if now.Sub(head.submitted) >= aging && (oldest == nil || head.submitted.Before(oldest.submitted)) {
-				oldest = head
-			}
-		}
-		if oldest != nil {
-			// Only count it as an aging rescue when precedence alone would
-			// have picked a different job.
-			var wouldPick *job
-			for c := numClasses - 1; c >= 0; c-- {
-				if len(q.heaps[c]) > 0 {
-					wouldPick = q.heaps[c][0]
-					break
-				}
-			}
-			heap.Remove(&q.heaps[oldest.class], oldest.heapIdx)
-			q.unlink(oldest)
-			return oldest, oldest != wouldPick
+	if len(*q) == 0 {
+		return nil, false
+	}
+	win := 0
+	for i, c := range *q {
+		if outranks(c, (*q)[win]) {
+			win = i
 		}
 	}
-	for c := numClasses - 1; c >= 0; c-- {
-		if len(q.heaps[c]) > 0 {
-			j := heap.Pop(&q.heaps[c]).(*job)
-			q.unlink(j)
-			return j, false
-		}
+	if aging > 0 && now.Sub((*q)[0].submitted) >= aging {
+		win, aged = 0, win != 0
 	}
-	return nil, false
+	j = (*q)[win]
+	*q = slices.Delete(*q, win, win+1)
+	return j, aged
 }
 
-// jobHeap orders one class's jobs: deadline-bearing jobs first (earliest
-// deadline wins), then deadline-free jobs in arrival order.
-type jobHeap []*job
-
-func (h jobHeap) Len() int { return len(h) }
-
-func (h jobHeap) Less(a, b int) bool {
-	ja, jb := h[a], h[b]
-	da, db := !ja.deadline.IsZero(), !jb.deadline.IsZero()
+// outranks reports whether a runs before b under precedence: higher
+// class first, then deadline-bearing before deadline-free with the
+// earlier deadline winning, then earlier arrival.
+func outranks(a, b *job) bool {
+	if a.class != b.class {
+		return a.class > b.class
+	}
+	da, db := !a.deadline.IsZero(), !b.deadline.IsZero()
 	switch {
 	case da && db:
-		if !ja.deadline.Equal(jb.deadline) {
-			return ja.deadline.Before(jb.deadline)
+		if !a.deadline.Equal(b.deadline) {
+			return a.deadline.Before(b.deadline)
 		}
 	case da != db:
 		return da // a deadline outranks no deadline
 	}
-	return ja.arrival < jb.arrival
-}
-
-func (h jobHeap) Swap(a, b int) {
-	h[a], h[b] = h[b], h[a]
-	h[a].heapIdx = a
-	h[b].heapIdx = b
-}
-
-func (h *jobHeap) Push(x any) {
-	j := x.(*job)
-	j.heapIdx = len(*h)
-	*h = append(*h, j)
-}
-
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.heapIdx = -1
-	*h = old[:n-1]
-	return j
+	return a.arrival < b.arrival
 }

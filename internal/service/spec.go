@@ -1,6 +1,6 @@
 // Package service turns the batch simulator into a long-running serving
-// subsystem: a canonical, content-addressed job spec; a bounded FIFO job
-// queue with per-job lifecycle states; a worker pool that executes jobs
+// subsystem: a canonical, content-addressed job spec; a bounded priority
+// job queue with per-job lifecycle states; a worker pool that executes jobs
 // via the resilient replication runner with per-job cancellation and
 // panic containment; an LRU result cache keyed by the spec fingerprint
 // with single-flight deduplication; and an operational counters snapshot.

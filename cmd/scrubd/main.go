@@ -9,9 +9,7 @@
 //	scrubd [-addr host:port] [-queue N] [-workers N] [-cache N] [-drain D]
 //	       [-role standalone|coordinator|worker] [-join URL] [-advertise URL]
 //	       [-heartbeat D] [-shard-inflight N] [-journal-dir DIR] [-worker-ttl D]
-//	       [-fleet] [-max-body-bytes N] [-max-batch-specs N] [-tenant-rate R]
-//	       [-tenant-burst N] [-aging D] [-shed-batch-pct F] [-shed-normal-pct F]
-//	       [-shed-interactive-pct F] [-shed-off] [-version]
+//	       [-fleet] [-tenant-rate R] [-tenant-burst N] [-aging D] [-version]
 //
 // Endpoints:
 //
@@ -61,12 +59,14 @@
 // Admission control: job specs may carry a "priority" (interactive,
 // normal, batch — default normal) and a "deadline_at" (RFC 3339); the
 // queue serves strict class precedence with earliest-deadline-first
-// inside a class, aged by -aging so a busy interactive stream cannot
-// starve batch forever. As the queue fills the daemon walks a shedding
-// ladder (healthy → shed-batch → shed-normal → interactive-only, set by
-// the -shed-*-pct watermarks, -shed-off disables) and refuses work with
-// 503 + Retry-After; per-tenant token buckets (-tenant-rate,
-// -tenant-burst, keyed by the X-Scrubd-Tenant header) refuse with 429.
+// inside a class, and -aging serves the longest-waiting job next once it
+// has waited that long, so a busy interactive stream cannot starve
+// batch forever. As the queue fills the daemon walks a fixed shedding
+// ladder (healthy → shed-batch → shed-normal → interactive-only at 50,
+// 75 and 90% occupancy) and refuses work with 503 + Retry-After;
+// per-tenant token buckets (-tenant-rate, -tenant-burst, keyed by the
+// X-Scrubd-Tenant header) refuse with 429. Request bodies are capped at
+// 1 MiB and batch submissions at 256 specs; either excess gets 413.
 // Scheduling fields never enter the job fingerprint: an interactive
 // submission still dedups against — and escalates — the same spec queued
 // as batch.
@@ -132,11 +132,6 @@ type options struct {
 	journalDir string
 	// fleet enables the fleet scrub-control plane under /v1/fleet/.
 	fleet bool
-	// maxBodyBytes caps every JSON request body (0 = 1 MiB).
-	maxBodyBytes int64
-	// maxBatchSpecs caps the spec count of one batch submission
-	// (0 = service.DefaultMaxBatchSpecs; negative = unlimited).
-	maxBatchSpecs int
 	// workerTTL evicts dead workers not seen for this long (coordinator
 	// role; 0 = never evict).
 	workerTTL time.Duration
@@ -163,15 +158,9 @@ func run() error {
 		jdir     = flag.String("journal-dir", "", "write-ahead job journal directory (empty = no journal)")
 		wttl     = flag.Duration("worker-ttl", 0, "evict dead workers not seen for this long (coordinator role; 0 = never)")
 		fleetOn  = flag.Bool("fleet", false, "enable the fleet scrub-control plane under /v1/fleet/")
-		maxBody  = flag.Int64("max-body-bytes", 0, "JSON request body cap in bytes (0 = 1 MiB)")
-		maxBatch = flag.Int("max-batch-specs", 0, "specs-per-batch cap on POST /v1/jobs/batch (0 = 256, negative = unlimited)")
 		trate    = flag.Float64("tenant-rate", 0, "per-tenant submission rate limit in jobs/sec (0 = off)")
 		tburst   = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = off)")
-		aging    = flag.Duration("aging", 30*time.Second, "serve a lower-class job waiting at least this long ahead of higher classes (0 = strict precedence)")
-		shedB    = flag.Float64("shed-batch-pct", 0, "queue occupancy fraction at which fresh batch work is shed (0 = default 0.50)")
-		shedN    = flag.Float64("shed-normal-pct", 0, "queue occupancy fraction at which fresh normal work is shed (0 = default 0.75)")
-		shedI    = flag.Float64("shed-interactive-pct", 0, "queue occupancy fraction past which only interactive traffic is served (0 = default 0.90)")
-		shedOff  = flag.Bool("shed-off", false, "disable watermark load shedding (admit every class until the queue is full)")
+		aging    = flag.Duration("aging", 30*time.Second, "serve the longest-waiting job next once it has waited this long, ahead of higher classes (0 = strict precedence)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -179,24 +168,7 @@ func run() error {
 		fmt.Println("scrubd", buildinfo.Get())
 		return nil
 	}
-	// The daemon sheds by default; -shed-off restores admit-until-full.
-	var shed *service.ShedConfig
-	if !*shedOff {
-		cfg := service.DefaultShedConfig()
-		if *shedB > 0 {
-			cfg.BatchPct = *shedB
-		}
-		if *shedN > 0 {
-			cfg.NormalPct = *shedN
-		}
-		if *shedI > 0 {
-			cfg.InteractivePct = *shedI
-		}
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		shed = &cfg
-	}
+	shed := service.DefaultShedConfig()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return serve(ctx, options{
@@ -205,13 +177,11 @@ func run() error {
 			QueueCapacity: *queue,
 			Workers:       *workers,
 			CacheCapacity: *cache,
-			Shed:          shed,
+			Shed:          &shed,
 			TenantRate:    *trate,
 			TenantBurst:   *tburst,
 			Aging:         *aging,
 		},
-		maxBodyBytes:  *maxBody,
-		maxBatchSpecs: *maxBatch,
 		drain:         *drain,
 		role:          *role,
 		join:          *join,
@@ -289,7 +259,7 @@ func serve(ctx context.Context, opts options) error {
 
 	svcCfg := opts.service
 	svcCfg.Journal = jn
-	handlerCfg := service.HandlerConfig{Role: opts.role, MaxBodyBytes: opts.maxBodyBytes, MaxBatchSpecs: opts.maxBatchSpecs}
+	handlerCfg := service.HandlerConfig{Role: opts.role}
 	var extraMetrics []func(io.Writer) error
 	var worker *cluster.Worker
 	mux := http.NewServeMux()
@@ -308,11 +278,9 @@ func serve(ctx context.Context, opts options) error {
 		go ms.HeartbeatLoop(clusterCtx, nil, opts.heartbeat)
 		go coord.GossipLoop(clusterCtx, 0)
 	case roleWorker:
-		w := cluster.NewWorker(opts.shardInflight)
-		w.MaxBodyBytes = opts.maxBodyBytes
-		worker = w
-		extraMetrics = append(extraMetrics, w.WritePrometheus)
-		mux.Handle(cluster.ShardPath, w.ShardHandler())
+		worker = cluster.NewWorker(opts.shardInflight)
+		extraMetrics = append(extraMetrics, worker.WritePrometheus)
+		mux.Handle(cluster.ShardPath, worker.ShardHandler())
 	}
 	if jn != nil {
 		extraMetrics = append(extraMetrics, func(out io.Writer) error {
@@ -327,7 +295,6 @@ func serve(ctx context.Context, opts options) error {
 	var fm *fleet.Manager
 	if opts.fleet {
 		fm = fleet.NewManager(jn)
-		fm.MaxBodyBytes = opts.maxBodyBytes
 		if recovery != nil {
 			if err := fm.Recover(recovery); err != nil {
 				ln.Close()

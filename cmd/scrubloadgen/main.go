@@ -113,7 +113,7 @@ func run() error {
 	var (
 		addr     = flag.String("addr", "", "existing scrubd base URL (empty = boot an in-process daemon)")
 		jobs     = flag.Int("jobs", 100000, "total job submissions to issue")
-		batch    = flag.Int("batch", 64, "specs per POST /v1/jobs/batch request (1 = single POST /v1/jobs)")
+		batch    = flag.Int("batch", 64, fmt.Sprintf("specs per POST /v1/jobs/batch request (1 = single POST /v1/jobs; at most %d)", service.MaxBatchSpecs))
 		conc     = flag.Int("conc", 8, "concurrent submitting clients")
 		tenants  = flag.Int("tenants", 6, "distinct X-Scrubd-Tenant values")
 		unique   = flag.Int("unique", 2000, "distinct spec fingerprints (the rest are duplicates)")
@@ -139,6 +139,9 @@ func run() error {
 	}
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
+	}
+	if cfg.Batch > service.MaxBatchSpecs {
+		return fmt.Errorf("-batch %d exceeds scrubd's %d-spec batch cap", cfg.Batch, service.MaxBatchSpecs)
 	}
 	if cfg.Conc < 1 {
 		cfg.Conc = 1
@@ -569,9 +572,7 @@ func selfHost(cfg genConfig) (string, func(), error) {
 		Shed:          &shed,
 		Aging:         aging,
 	})
-	// The local harness honours whatever -batch the run asked for; the
-	// spec-count cap is a production-facing guard, not a harness limit.
-	hcfg := service.HandlerConfig{Role: "standalone", MaxBatchSpecs: max(cfg.Batch, service.DefaultMaxBatchSpecs)}
+	hcfg := service.HandlerConfig{Role: "standalone"}
 	if jn != nil {
 		hcfg.ExtraMetrics = func(out io.Writer) error { return jn.WritePrometheus(out, rec) }
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/httpx"
 	"repro/internal/service"
 )
 
@@ -185,7 +186,7 @@ func TestClusterHTTPErrorExcludesWithoutDeath(t *testing.T) {
 	busyMux := http.NewServeMux()
 	busyMux.HandleFunc(ShardPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Retry-After", "1")
-		writeJSONError(rw, http.StatusTooManyRequests, errors.New("cluster: worker at capacity"))
+		httpx.WriteError(rw, http.StatusTooManyRequests, errors.New("cluster: worker at capacity"))
 	})
 	busyMux.HandleFunc(HealthPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.WriteHeader(http.StatusOK)

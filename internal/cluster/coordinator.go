@@ -579,15 +579,6 @@ func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask)
 // generous 64 MiB bound instead of the 1 MiB control-plane default.
 const maxClaimBodyBytes = 64 << 20
 
-// decodeStatus maps a body-decode failure onto its status: 413 when the
-// body blew the size cap, 400 otherwise.
-func decodeStatus(err error) int {
-	if httpx.TooLarge(err) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // Handler serves the coordinator's cluster endpoints: worker join, the
 // membership listing, the consistent-hash ring, and the work-stealing
 // pair (hand out a pending shard; accept a claimed result). Mount it
@@ -597,27 +588,24 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+JoinPath, func(rw http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
 		if err := httpx.DecodeJSON(rw, r, 0, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode join request: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode join request: %w", err))
 			return
 		}
 		m, err := c.ms.Join(req.URL)
 		if err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
+			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(m)
+		httpx.WriteJSON(rw, http.StatusOK, m)
 	})
 	mux.HandleFunc("GET "+WorkersPath, func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(struct {
+		httpx.WriteJSON(rw, http.StatusOK, struct {
 			Workers []Member `json:"workers"`
 		}{c.ms.List()})
 	})
 	mux.HandleFunc("GET "+RingPath, func(rw http.ResponseWriter, r *http.Request) {
 		ring := c.ms.Ring()
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(struct {
+		httpx.WriteJSON(rw, http.StatusOK, struct {
 			Version uint64   `json:"version"`
 			Members []string `json:"members"`
 		}{ring.Version(), ring.Members()})
@@ -625,7 +613,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+StealPath, func(rw http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
 		if err := httpx.DecodeJSON(rw, r, 0, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode steal request: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode steal request: %w", err))
 			return
 		}
 		sr, ok := c.stealPending(req.URL)
@@ -633,8 +621,7 @@ func (c *Coordinator) Handler() http.Handler {
 			rw.WriteHeader(http.StatusNoContent)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(sr)
+		httpx.WriteJSON(rw, http.StatusOK, sr)
 	})
 	mux.HandleFunc("POST "+ClaimsPath, func(rw http.ResponseWriter, r *http.Request) {
 		// Claim results carry a full ShardResponse — per-replica payloads
@@ -642,16 +629,15 @@ func (c *Coordinator) Handler() http.Handler {
 		// larger cap than the control-plane default.
 		var req ClaimResult
 		if err := httpx.DecodeJSON(rw, r, maxClaimBodyBytes, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode claim result: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode claim result: %w", err))
 			return
 		}
 		if req.Token == "" || req.Response == nil {
-			writeJSONError(rw, http.StatusBadRequest, errors.New("cluster: claim result needs token and response"))
+			httpx.WriteError(rw, http.StatusBadRequest, errors.New("cluster: claim result needs token and response"))
 			return
 		}
 		ack := c.deliverClaim(req.Token, req.Response)
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(ack)
+		httpx.WriteJSON(rw, http.StatusOK, ack)
 	})
 	return mux
 }

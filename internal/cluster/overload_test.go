@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/httpx"
 	"repro/internal/service"
 )
 
@@ -27,16 +28,16 @@ func postShardRaw(t *testing.T, url string, req ShardRequest) *http.Response {
 	return resp
 }
 
-// TestWorkerBodyLimit pins the shard-request body cap: an oversized
-// request earns 413 before any simulation work happens.
+// TestWorkerBodyLimit pins the shard-request body cap: a request over
+// httpx.DefaultMaxBodyBytes earns 413 before any simulation work
+// happens.
 func TestWorkerBodyLimit(t *testing.T) {
 	w := NewWorker(1)
-	w.MaxBodyBytes = 512
 	ts := httptest.NewServer(w.ShardHandler())
 	defer ts.Close()
 
 	huge := fmt.Sprintf(`{"spec":{"workload":%q},"first":0,"count":1}`,
-		strings.Repeat("x", 4096))
+		strings.Repeat("x", int(httpx.DefaultMaxBodyBytes)))
 	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,10 +22,6 @@ import (
 type Worker struct {
 	max int
 	sem chan struct{}
-
-	// MaxBodyBytes caps the shard-request body (0 = 1 MiB). Set it
-	// before mounting ShardHandler.
-	MaxBodyBytes int64
 
 	executed atomic.Int64
 	failed   atomic.Int64
@@ -66,16 +61,16 @@ func (w *Worker) MaxInFlight() int { return w.max }
 func (w *Worker) ShardHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeJSONError(rw, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+			httpx.WriteError(rw, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 			return
 		}
 		var req ShardRequest
-		if err := httpx.DecodeJSON(rw, r, w.MaxBodyBytes, true, &req); err != nil {
+		if err := httpx.DecodeJSON(rw, r, 0, true, &req); err != nil {
 			if httpx.TooLarge(err) {
-				writeJSONError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: shard request: %w", err))
+				httpx.WriteError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: shard request: %w", err))
 				return
 			}
-			writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
+			httpx.WriteError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
 			return
 		}
 		select {
@@ -85,7 +80,7 @@ func (w *Worker) ShardHandler() http.Handler {
 			// The priority rides the spec across the wire: a rejected
 			// interactive shard is invited back sooner than a batch one.
 			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, req.Spec.Class())
-			writeJSONError(rw, http.StatusTooManyRequests,
+			httpx.WriteError(rw, http.StatusTooManyRequests,
 				fmt.Errorf("cluster: worker at capacity (%d shards in flight)", w.max))
 			return
 		}
@@ -95,17 +90,15 @@ func (w *Worker) ShardHandler() http.Handler {
 		resp, err := w.execute(r.Context(), &req)
 		var bad *badRequestError
 		if errors.As(err, &bad) {
-			writeJSONError(rw, http.StatusBadRequest, err)
+			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
 		if err != nil {
 			w.failed.Add(1)
-			writeJSONError(rw, http.StatusInternalServerError, err)
+			httpx.WriteError(rw, http.StatusInternalServerError, err)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		rw.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(rw).Encode(resp)
+		httpx.WriteJSON(rw, http.StatusOK, resp)
 	})
 }
 
@@ -209,12 +202,4 @@ func (w *Worker) WritePrometheus(out io.Writer) error {
 		httpx.Counter("scrubd_cluster_worker_steals_executed_total", "Stolen shards executed and delivered.", float64(s.StealsExecuted)),
 		httpx.Counter("scrubd_cluster_worker_steals_won_total", "Stolen-shard deliveries that won their range.", float64(s.StealsWon)),
 	)
-}
-
-func writeJSONError(rw http.ResponseWriter, status int, err error) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

@@ -27,10 +27,6 @@ var errJournal = errors.New("fleet: journal append failed")
 // session goroutine per device, journal-backed durability for device and
 // session specifications, and the aggregate metrics surface.
 type Manager struct {
-	// MaxBodyBytes caps fleet JSON request bodies (0 = 1 MiB). Set it
-	// before RegisterRoutes.
-	MaxBodyBytes int64
-
 	mu      sync.Mutex
 	devices map[string]*Device
 	order   []string
@@ -104,7 +100,8 @@ func (m *Manager) Register(spec DeviceSpec) (DeviceView, error) {
 }
 
 // Recover re-registers every device the previous incarnation journaled:
-// same spec, same seed, plus the last journaled patrol configuration.
+// same spec, same seed, plus the last journaled patrol configuration and
+// patched policy.
 // Device state is deliberately not restored — trajectories are
 // deterministic in the spec, so the fleet recomputes them, the same way
 // corrupt shard checkpoints silently recompute.
@@ -131,15 +128,18 @@ func (m *Manager) Recover(rec *journal.Recovery) error {
 			// drop the device rather than refuse to boot.
 			continue
 		}
-		if len(fd.Patrol) > 0 {
-			var pc PatrolConfig
-			if err := json.Unmarshal(fd.Patrol, &pc); err == nil {
-				spec.Patrol = &pc
-			}
+		var pr patrolRecord
+		if len(fd.Patrol) > 0 && json.Unmarshal(fd.Patrol, &pr) == nil {
+			spec.Patrol = &pr.PatrolConfig
 		}
 		d, err := newManagedDevice(fd.ID, spec)
 		if err != nil {
 			continue
+		}
+		if pr.Policy != "" {
+			// A patched policy that no longer resolves leaves the device
+			// on its registration policy.
+			_, _ = d.ApplyPatch(PatrolPatch{Policy: &pr.Policy})
 		}
 		m.mu.Lock()
 		if m.closed {
@@ -221,21 +221,31 @@ func (m *Manager) Remove(id string) error {
 	return nil
 }
 
-// Patch applies a patrol patch to a device and journals the merged
-// configuration, so a restart resumes the session at the patched rate.
-// If the journal append fails the patch is live in this process but
-// not durable, and Patch returns the error.
+// patrolRecord is the fleet-patrol journal payload: the merged patrol
+// configuration plus the policy name a PATCH swapped in, if any.
+type patrolRecord struct {
+	PatrolConfig
+	Policy string `json:"policy,omitempty"`
+}
+
+// Patch merges and validates a patrol patch, journals the merged
+// configuration and patched policy, and only then applies them: a
+// restart resumes the session as patched, and a failed append (an
+// errJournal, answered 500) leaves the running session unchanged.
+// m.mu is held throughout, so patches journal in the order they apply.
 func (m *Manager) Patch(id string, p PatrolPatch) (PatrolConfig, error) {
-	d, err := m.device(id)
-	if err != nil {
-		return PatrolConfig{}, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d := m.devices[id]
+	if d == nil {
+		return PatrolConfig{}, ErrNotFound
 	}
-	cfg, err := d.ApplyPatch(p)
+	mp, err := d.mergePatch(p)
 	if err != nil {
 		return PatrolConfig{}, err
 	}
 	if m.jnl != nil {
-		raw, err := json.Marshal(cfg)
+		raw, err := json.Marshal(patrolRecord{PatrolConfig: mp.cfg, Policy: mp.polName})
 		if err != nil {
 			return PatrolConfig{}, fmt.Errorf("%w: encode patrol config: %w", errJournal, err)
 		}
@@ -245,7 +255,10 @@ func (m *Manager) Patch(id string, p PatrolPatch) (PatrolConfig, error) {
 			return PatrolConfig{}, fmt.Errorf("%w: %w", errJournal, err)
 		}
 	}
-	return cfg, nil
+	if err := d.applyPatch(mp); err != nil {
+		return PatrolConfig{}, err
+	}
+	return mp.cfg, nil
 }
 
 // EnqueueScrub submits an on-demand region scrub against a device. Jobs

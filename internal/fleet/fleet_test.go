@@ -348,7 +348,6 @@ func TestManagerJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestLiveSessionProgresses boots a real manager (no journal) and waits
 // TestRegisterAfterShutdownIsNotJournaled registers on a shut-down
 // manager: the refusal must leave no device record for the next
 // incarnation's Recover to resurrect.
@@ -376,6 +375,54 @@ func TestRegisterAfterShutdownIsNotJournaled(t *testing.T) {
 	}
 }
 
+// TestPatchedPolicySurvivesRecovery pins that a PATCH's policy swap is
+// journaled with the patrol configuration: after a restart the device
+// comes back under the patched policy, not its registration policy.
+func TestPatchedPolicySurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	m := NewManager(jnl)
+	v, err := m.Register(testDeviceSpec(42))
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	light := "light"
+	if _, err := m.Patch(v.ID, PatrolPatch{Policy: &light}); err != nil {
+		t.Fatalf("Patch: %v", err)
+	}
+	// A later patch without a policy must not forget the earlier swap.
+	rate := 256.0 / 3600
+	if _, err := m.Patch(v.ID, PatrolPatch{RateLinesPerSec: &rate}); err != nil {
+		t.Fatalf("Patch: %v", err)
+	}
+	m.Shutdown()
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal.Close: %v", err)
+	}
+
+	jnl2, rec, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer jnl2.Close()
+	m2 := NewManager(jnl2)
+	defer m2.Shutdown()
+	if err := m2.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	got, err := m2.Get(v.ID)
+	if err != nil {
+		t.Fatalf("recovered device missing: %v", err)
+	}
+	if got.Policy != "basic+light" || got.Patrol.RateLinesPerSec != rate {
+		t.Errorf("recovered policy %q rate %g, want basic+light at %g", got.Policy, got.Patrol.RateLinesPerSec, rate)
+	}
+}
+
+// TestLiveSessionProgresses boots a real manager (no journal) and waits
 // for the patrol session goroutine to make progress, then drains it.
 func TestLiveSessionProgresses(t *testing.T) {
 	m := NewManager(nil)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/journal"
 )
 
@@ -179,5 +181,77 @@ func TestPatchJournalFailureIs500(t *testing.T) {
 	bad := -1.0
 	if code := doJSON(t, srv, "PATCH", path, PatrolPatch{RateLinesPerSec: &bad}, nil); code != http.StatusBadRequest {
 		t.Errorf("invalid PATCH: status %d, want 400", code)
+	}
+}
+
+// TestFailedPatchChangesNothing pins journal-before-apply: a PATCH the
+// journal cannot record is answered 500 and leaves the running session
+// on its old rate and policy.
+func TestFailedPatchChangesNothing(t *testing.T) {
+	jnl, _, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	m := NewManager(jnl)
+	defer m.Shutdown()
+	mux := http.NewServeMux()
+	m.RegisterRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var before DeviceView
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices", testDeviceSpec(42), &before); code != http.StatusCreated {
+		t.Fatalf("register status = %d, want 201", code)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal.Close: %v", err)
+	}
+	patch := map[string]any{"rate_lines_per_sec": 0.5, "policy": "light"}
+	if code := doJSON(t, srv, "PATCH", "/v1/fleet/devices/"+before.ID+"/patrol", patch, nil); code != http.StatusInternalServerError {
+		t.Fatalf("PATCH on a closed journal: status %d, want 500", code)
+	}
+	after, err := m.Get(before.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Patrol != before.Patrol || after.Policy != before.Policy {
+		t.Errorf("refused PATCH changed the session: patrol %+v policy %q, want %+v %q",
+			after.Patrol, after.Policy, before.Patrol, before.Policy)
+	}
+}
+
+// TestFleetBodyLimit pins the request-body cap on the fleet surface: a
+// POST or PATCH body over httpx.DefaultMaxBodyBytes earns 413.
+func TestFleetBodyLimit(t *testing.T) {
+	m := NewManager(nil)
+	defer m.Shutdown()
+	mux := http.NewServeMux()
+	m.RegisterRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var dev DeviceView
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices", testDeviceSpec(42), &dev); code != http.StatusCreated {
+		t.Fatalf("register status = %d, want 201", code)
+	}
+	// Leading whitespace makes each body valid JSON, just too long.
+	pad := strings.Repeat(" ", int(httpx.DefaultMaxBodyBytes))
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/fleet/devices", `{"workload":"idle-archive"}`},
+		{"PATCH", "/v1/fleet/devices/" + dev.ID + "/patrol", `{"paused":true}`},
+		{"POST", "/v1/fleet/devices/" + dev.ID + "/scrubs", `{"first":0,"count":1}`},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(pad+c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s over 1 MiB: status %d, want 413", c.method, c.path, resp.StatusCode)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -252,28 +251,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	f := float64(hit) / trials
 	if math.Abs(f-p) > 0.005 {
 		t.Errorf("Bernoulli frequency %.4f, want ~%.3f", f, p)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(41)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -53,8 +53,8 @@ const (
 // (same spec, same seed) and recomputes its trajectory, mirroring how
 // corrupt shard checkpoints silently recompute. Job carries the device
 // ID; fleet-device carries the registration spec in Spec, fleet-patrol
-// carries the latest patrol configuration in Payload, and fleet-remove
-// drops the device from recovery.
+// carries the latest patrol configuration and patched policy in Payload,
+// and fleet-remove drops the device from recovery.
 const (
 	TypeFleetDevice Type = "fleet-device"
 	TypeFleetPatrol Type = "fleet-patrol"

@@ -42,9 +42,9 @@ type FleetDevice struct {
 	ID string
 	// Spec is the device registration spec as journaled.
 	Spec json.RawMessage
-	// Patrol is the most recent patrol configuration (live PATCHes are
-	// journaled), nil when the device never deviated from its
-	// registration-time configuration.
+	// Patrol is the most recent patrol configuration and patched policy
+	// (live PATCHes are journaled), nil when the device was never
+	// patched.
 	Patrol json.RawMessage
 }
 

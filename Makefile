@@ -200,8 +200,8 @@ smoke-cluster-elastic:
 		sleep 0.1; \
 	done; \
 	[ "$$state" = done ] || { echo "smoke-cluster-elastic: job stuck in '$$state'"; cat $$log; exit 1; }; \
-	curl -sf $$base/healthz | grep -q '"ring_version":3' || { echo "smoke-cluster-elastic: healthz ring_version != 3"; curl -s $$base/healthz; exit 1; }; \
-	curl -sf $$base/metrics | grep -q 'scrubd_cluster_ring_version 3' || { echo "smoke-cluster-elastic: ring_version metric missing"; exit 1; }; \
+	curl -sf $$base/metrics | grep -qx 'scrubd_cluster_workers 3' || { echo "smoke-cluster-elastic: scrubd_cluster_workers != 3"; curl -s $$base/metrics | grep scrubd_cluster_workers; exit 1; }; \
+	curl -sf $$base/v1/cluster/workers | grep -q '"id":"worker-003"' || { echo "smoke-cluster-elastic: mid-campaign worker-003 not registered"; curl -s $$base/v1/cluster/workers; exit 1; }; \
 	curl -sf $$base/v1/jobs/$$id | sed 's/.*"result"://; s/}$$//' >$$dir/elastic.json; \
 	test -s $$dir/elastic.json; \
 	$$dir/scrubd -addr 127.0.0.1:0 >$$dir/clean.log 2>&1 & clpid=$$!; \

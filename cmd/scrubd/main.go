@@ -24,7 +24,6 @@
 //	GET    /v1/cache/results/{fp} cached result bytes (gossip)
 //	POST   /v1/cluster/join       (coordinator) worker registration
 //	GET    /v1/cluster/workers    (coordinator) membership listing
-//	GET    /v1/cluster/ring       (coordinator) placement ring
 //	POST   /v1/cluster/steal      (coordinator) hand out a pending shard
 //	POST   /v1/cluster/claims     (coordinator) accept a stolen result
 //	POST   /v1/cluster/shards     (worker) execute a replica range
@@ -40,9 +39,9 @@
 // journaled and recovered across restarts.
 //
 // Roles: a standalone node executes jobs itself; a coordinator places
-// each job's replica shards on joined workers by consistent hashing
-// (falling back to local execution when none are live), heartbeats
-// their /healthz, sweeps the fleet's result-cache indexes every 2 s, and
+// each job's replica shards on the least-loaded joined worker (falling
+// back to local execution when none are live), heartbeats their
+// /healthz, sweeps the fleet's result-cache indexes every 2 s, and
 // speculatively re-dispatches stragglers (a shard running 1.5× the
 // median shard duration, and at least 2 s); a worker joins a
 // coordinator with -join, executes pushed shards bounded by

@@ -19,7 +19,7 @@ import (
 type claimKind int
 
 const (
-	// claimPrimary is the coordinator's own ring-placed dispatch.
+	// claimPrimary is the coordinator's own least-loaded dispatch.
 	claimPrimary claimKind = iota
 	// claimLocal is the coordinator executing the shard itself.
 	claimLocal
@@ -57,8 +57,7 @@ type claim struct {
 // is not done and holds no claim is stealable: its primary is parked
 // waiting for an in-flight slot or backing off between failovers.
 type shardTask struct {
-	rg  shardRange
-	key string // consistent-hash placement key
+	rg shardRange
 
 	claims     map[string]claim
 	speculated bool // a speculative claim was already launched
@@ -105,7 +104,6 @@ func newBoard(c *Coordinator, fp string, spec service.Spec, plan []shardRange, a
 	for _, rg := range plan {
 		b.tasks = append(b.tasks, &shardTask{
 			rg:      rg,
-			key:     shardKey(fp, rg.first, rg.count),
 			claims:  make(map[string]claim),
 			started: now,
 		})

@@ -313,7 +313,7 @@ func TestMembershipAcquire(t *testing.T) {
 	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})
 	ctx := context.Background()
 
-	if _, _, err := ms.acquire(ctx, "", nil); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(ctx, nil); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("acquire on empty membership = %v, want ErrNoWorkers", err)
 	}
 
@@ -321,11 +321,11 @@ func TestMembershipAcquire(t *testing.T) {
 	b := mustJoin(t, ms, "http://10.0.0.2:1")
 
 	// Least-loaded first, ties by ID.
-	id1, _, err := ms.acquire(ctx, "", nil)
+	id1, _, err := ms.acquire(ctx, nil)
 	if err != nil || id1 != a.ID {
 		t.Fatalf("first acquire = %q, %v; want %q", id1, err, a.ID)
 	}
-	id2, _, err := ms.acquire(ctx, "", nil)
+	id2, _, err := ms.acquire(ctx, nil)
 	if err != nil || id2 != b.ID {
 		t.Fatalf("second acquire = %q, %v; want %q", id2, err, b.ID)
 	}
@@ -333,7 +333,7 @@ func TestMembershipAcquire(t *testing.T) {
 	// All at capacity: acquire blocks until a release.
 	got := make(chan string, 1)
 	go func() {
-		id, _, err := ms.acquire(ctx, "", nil)
+		id, _, err := ms.acquire(ctx, nil)
 		if err != nil {
 			got <- "error: " + err.Error()
 			return
@@ -357,17 +357,17 @@ func TestMembershipAcquire(t *testing.T) {
 
 	// Excluding every worker yields ErrNoWorkers, not a deadlock.
 	ms.release(a.ID)
-	if _, _, err := ms.acquire(ctx, "", map[string]bool{a.ID: true, b.ID: true}); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(ctx, map[string]bool{a.ID: true, b.ID: true}); !errors.Is(err, ErrNoWorkers) {
 		t.Errorf("acquire with all excluded = %v, want ErrNoWorkers", err)
 	}
 
 	// Cancellation unblocks a waiter. b's slot is still held by the
 	// goroutine above; re-acquiring a fills the other slot.
-	_, _, _ = ms.acquire(ctx, "", nil)
+	_, _, _ = ms.acquire(ctx, nil)
 	cctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := ms.acquire(cctx, "", nil)
+		_, _, err := ms.acquire(cctx, nil)
 		errCh <- err
 	}()
 	cancel()

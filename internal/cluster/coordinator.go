@@ -32,7 +32,6 @@ type speculationConfig struct {
 	Factor   float64
 	MinWait  time.Duration
 	Interval time.Duration
-	Disabled bool
 }
 
 // Config assembles a Coordinator.
@@ -45,12 +44,11 @@ type Config struct {
 }
 
 // Coordinator turns one replicated job into seed-ranged shards spread
-// over the live workers. Placement is consistent-hashed (identical
-// shards land where their cache entries live), execution is arbitrated
-// by a per-campaign claims board — the primary ring dispatch, idle
-// workers pulling queued shards (work stealing), and speculative
-// re-dispatches of stragglers all race idempotently, first byte-
-// identical result wins — and whole jobs can be answered from any
+// over the live workers. Each shard goes to the least-loaded worker;
+// execution is arbitrated by a per-campaign claims board — the primary
+// dispatch, idle workers pulling queued shards (work stealing), and
+// speculative re-dispatches of stragglers all race idempotently, first
+// byte-identical result wins — and whole jobs can be answered from any
 // node's gossiped cache. Its Runner plugs into service.Service, so the
 // coordinator node's queue, dedup, and content-addressed cache operate
 // unchanged — the fingerprint still addresses the whole job.
@@ -298,7 +296,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 			service.ReportShardProgress(ctx, int(done.Add(1)), len(plan))
 		}(i, t)
 	}
-	if !c.spec.Disabled && len(plan) > 1 {
+	if len(plan) > 1 {
 		specWg.Add(1)
 		go func() {
 			defer specWg.Done()
@@ -431,16 +429,16 @@ func firstShardError(ctx context.Context, errs []error) error {
 }
 
 // attempt makes one remote execution attempt at t under a claim of
-// kind: acquire a worker (ring order for key, least loaded when key is
-// empty, never one in exclude), register the claim, post the shard,
-// check the echo, feed the worker's breaker, release its slot, and
-// complete or withdraw the claim. It returns the worker tried — "" when
-// acquire failed, err then being acquire's error, ErrNoWorkers
-// included — and whether the failure was below HTTP. A nil error means
-// the claim completed; an integrity failure there is recorded on the
-// board, which aborts the campaign and dominates Run's outcome.
-func (c *Coordinator) attempt(ctx context.Context, b *board, t *shardTask, kind claimKind, key string, exclude map[string]bool) (id string, transport bool, err error) {
-	id, baseURL, err := c.ms.acquire(ctx, key, exclude)
+// kind: acquire the least-loaded worker not in exclude, register the
+// claim, post the shard, check the echo, feed the worker's breaker,
+// release its slot, and complete or withdraw the claim. It returns the
+// worker tried — "" when acquire failed, err then being acquire's
+// error, ErrNoWorkers included — and whether the failure was below
+// HTTP. A nil error means the claim completed; an integrity failure
+// there is recorded on the board, which aborts the campaign and
+// dominates Run's outcome.
+func (c *Coordinator) attempt(ctx context.Context, b *board, t *shardTask, kind claimKind, exclude map[string]bool) (id string, transport bool, err error) {
+	id, baseURL, err := c.ms.acquire(ctx, exclude)
 	if err != nil {
 		return "", false, err
 	}
@@ -493,9 +491,8 @@ func (c *Coordinator) runLocal(ctx context.Context, b *board, t *shardTask, kind
 }
 
 // runTask drives one shard task to completion as its primary claimant,
-// failing over across workers: placement follows the consistent-hash
-// sequence for the task's key (owner first, then the deterministic
-// failover order), a worker that errors is excluded for this shard (and
+// failing over across workers: each attempt goes to the least-loaded
+// eligible worker, a worker that errors is excluded for this shard (and
 // declared dead on transport errors, where the whole node is suspect —
 // an HTTP-level error proves the node is at least serving). Failed
 // attempts are separated by full-jitter exponential backoff; while the
@@ -509,7 +506,7 @@ func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask) error
 		if b.taskDone(t) {
 			return nil
 		}
-		id, transport, err := c.attempt(ctx, b, t, claimPrimary, t.key, exclude)
+		id, transport, err := c.attempt(ctx, b, t, claimPrimary, exclude)
 		if errors.Is(err, ErrNoWorkers) {
 			if err := c.runLocal(ctx, b, t, claimLocal); err != nil && !b.taskDone(t) {
 				return err
@@ -568,7 +565,7 @@ func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask)
 	if b.taskDone(t) {
 		return
 	}
-	_, _, err := c.attempt(ctx, b, t, claimSpeculative, "", b.claimants(t))
+	_, _, err := c.attempt(ctx, b, t, claimSpeculative, b.claimants(t))
 	if errors.Is(err, ErrNoWorkers) {
 		_ = c.runLocal(ctx, b, t, claimSpeculative)
 	}
@@ -580,9 +577,9 @@ func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask)
 const maxClaimBodyBytes = 64 << 20
 
 // Handler serves the coordinator's cluster endpoints: worker join, the
-// membership listing, the consistent-hash ring, and the work-stealing
-// pair (hand out a pending shard; accept a claimed result). Mount it
-// alongside the service handler.
+// membership listing, and the work-stealing pair (hand out a pending
+// shard; accept a claimed result). Mount it alongside the service
+// handler.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+JoinPath, func(rw http.ResponseWriter, r *http.Request) {
@@ -602,13 +599,6 @@ func (c *Coordinator) Handler() http.Handler {
 		httpx.WriteJSON(rw, http.StatusOK, struct {
 			Workers []Member `json:"workers"`
 		}{c.ms.List()})
-	})
-	mux.HandleFunc("GET "+RingPath, func(rw http.ResponseWriter, r *http.Request) {
-		ring := c.ms.Ring()
-		httpx.WriteJSON(rw, http.StatusOK, struct {
-			Version uint64   `json:"version"`
-			Members []string `json:"members"`
-		}{ring.Version(), ring.Members()})
 	})
 	mux.HandleFunc("POST "+StealPath, func(rw http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
@@ -674,9 +664,6 @@ func (c *Coordinator) deliverClaim(token string, resp *ShardResponse) ClaimAck {
 	return ClaimAck{Accepted: false}
 }
 
-// RingVersion exposes the placement epoch for health and metrics.
-func (c *Coordinator) RingVersion() uint64 { return c.ms.RingVersion() }
-
 // CoordinatorSnapshot is a point-in-time view of the coordinator's
 // dispatch counters, claims-board races, gossip table, and fleet.
 type CoordinatorSnapshot struct {
@@ -693,7 +680,6 @@ type CoordinatorSnapshot struct {
 	ShardsResumed     int64 `json:"shards_resumed"`
 	HeartbeatFailures int64 `json:"heartbeat_failures"`
 
-	RingVersion          uint64  `json:"ring_version"`
 	StealsServed         int64   `json:"steals_served"`
 	StealsWon            int64   `json:"steals_won"`
 	StealsLost           int64   `json:"steals_lost"`
@@ -730,7 +716,6 @@ func (c *Coordinator) Snapshot() CoordinatorSnapshot {
 		ShardsResumed:     c.shardsResumed.Load(),
 		HeartbeatFailures: c.ms.HeartbeatFailures(),
 
-		RingVersion:          c.ms.RingVersion(),
 		StealsServed:         c.stealsServed.Load(),
 		StealsWon:            c.stealsWon.Load(),
 		StealsLost:           c.stealsLost.Load(),
@@ -764,7 +749,6 @@ func (c *Coordinator) WritePrometheus(out io.Writer) error {
 		httpx.Counter("scrubd_cluster_jobs_resumed_total", "Jobs resumed from a journaled shard plan.", float64(s.JobsResumed)),
 		httpx.Counter("scrubd_cluster_heartbeat_failures_total", "Failed worker health probes.", float64(s.HeartbeatFailures)),
 		httpx.Counter("scrubd_cluster_workers_evicted_total", "Dead workers evicted after the TTL.", float64(s.WorkersEvicted)),
-		httpx.Gauge("scrubd_cluster_ring_version", "Consistent-hash placement epoch (bumps on join/evict).", float64(s.RingVersion)),
 		httpx.Counter("scrubd_cluster_steals_served_total", "Pending shards handed to idle workers.", float64(s.StealsServed)),
 		httpx.Counter("scrubd_cluster_steals_won_total", "Stolen-shard results that won their range.", float64(s.StealsWon)),
 		httpx.Counter("scrubd_cluster_steals_lost_total", "Stolen-shard results beaten by another claim.", float64(s.StealsLost)),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,126 +15,11 @@ import (
 	"repro/internal/service"
 )
 
-// --- Consistent-hash ring ---
-
-func TestRingSequenceDeterministicAndComplete(t *testing.T) {
-	ids := []string{"worker-001", "worker-002", "worker-003", "worker-004"}
-	r1 := newRing(1, ids)
-	r2 := newRing(1, []string{"worker-003", "worker-001", "worker-004", "worker-002"})
-	for _, key := range []string{"a", "b", shardKey("fp", 0, 4), shardKey("fp", 4, 4)} {
-		s1, s2 := r1.Sequence(key), r2.Sequence(key)
-		if len(s1) != len(ids) {
-			t.Fatalf("Sequence(%q) covers %d members, want %d", key, len(s1), len(ids))
-		}
-		seen := map[string]bool{}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("Sequence(%q) depends on input order: %v vs %v", key, s1, s2)
-			}
-			if seen[s1[i]] {
-				t.Fatalf("Sequence(%q) repeats member %s", key, s1[i])
-			}
-			seen[s1[i]] = true
-		}
-		if r1.Owner(key) != s1[0] {
-			t.Errorf("Owner(%q) = %s, Sequence[0] = %s", key, r1.Owner(key), s1[0])
-		}
-	}
-	if newRing(1, nil).Sequence("x") != nil {
-		t.Error("empty ring should yield a nil sequence")
-	}
-}
-
-// TestRingRemapMinimal is the consistent-hashing contract: removing one
-// member only remaps the keys that member owned; every other key keeps
-// its owner (and so its co-located cache entries).
-func TestRingRemapMinimal(t *testing.T) {
-	ids := []string{"worker-001", "worker-002", "worker-003", "worker-004", "worker-005"}
-	before := newRing(1, ids)
-	after := newRing(2, ids[:4]) // worker-005 evicted
-
-	keys := make([]string, 0, 256)
-	for i := 0; i < 256; i++ {
-		keys = append(keys, shardKey(fmt.Sprintf("fp-%03d", i), i, 4))
-	}
-	moved, ownedByRemoved := 0, 0
-	for _, key := range keys {
-		was, is := before.Owner(key), after.Owner(key)
-		if was == "worker-005" {
-			ownedByRemoved++
-			continue
-		}
-		if was != is {
-			moved++
-			t.Errorf("key %q moved %s → %s though its owner survived", key, was, is)
-		}
-	}
-	if ownedByRemoved == 0 {
-		t.Fatal("no key was owned by the removed member; test proves nothing")
-	}
-	_ = moved
-}
-
-// TestRingVersionBumpsOnChurnOnly checks the placement epoch moves on
-// join and eviction but not on health flips — a bouncing worker must
-// not reshuffle placements.
-func TestRingVersionBumpsOnChurnOnly(t *testing.T) {
-	ms := NewMembershipWith(MembershipConfig{WorkerTTL: time.Minute})
-	v0 := ms.RingVersion()
-	a := mustJoin(t, ms, "http://10.0.0.1:1")
-	mustJoin(t, ms, "http://10.0.0.2:1")
-	v1 := ms.RingVersion()
-	if v1 == v0 {
-		t.Fatal("join did not bump the ring version")
-	}
-	ms.markDead(a.ID)
-	if ms.RingVersion() != v1 {
-		t.Error("health flip bumped the ring version")
-	}
-	if got := len(ms.Ring().Members()); got != 2 {
-		t.Errorf("dead member dropped off the ring: %d members", got)
-	}
-	// Advance the clock past the TTL; the eviction sweep must bump.
-	base := time.Now()
-	ms.now = func() time.Time { return base.Add(2 * time.Minute) }
-	ms.evictExpired()
-	if ms.RingVersion() == v1 {
-		t.Error("TTL eviction did not bump the ring version")
-	}
-	if got := len(ms.Ring().Members()); got != 1 {
-		t.Errorf("evicted member still on the ring: %d members", got)
-	}
-}
-
-// TestAcquireRankedFollowsRing checks keyed acquisition prefers the
-// key's ring owner and falls over in ring order when the owner is
-// excluded.
-func TestAcquireRankedFollowsRing(t *testing.T) {
-	ms := NewMembershipWith(MembershipConfig{PerWorkerInFlight: 2})
-	for i := 1; i <= 3; i++ {
-		mustJoin(t, ms, fmt.Sprintf("http://10.0.0.%d:1", i))
-	}
-	key := shardKey("some-fingerprint", 0, 8)
-	seq := ms.Ring().Sequence(key)
-	ctx := context.Background()
-
-	id, _, err := ms.acquire(ctx, key, nil)
-	if err != nil || id != seq[0] {
-		t.Fatalf("acquire = %q, %v; want ring owner %q", id, err, seq[0])
-	}
-	ms.release(id)
-	id, _, err = ms.acquire(ctx, key, map[string]bool{seq[0]: true})
-	if err != nil || id != seq[1] {
-		t.Fatalf("acquire with owner excluded = %q, %v; want %q", id, err, seq[1])
-	}
-	ms.release(id)
-}
-
 // --- Helpers for board/steal tests ---
 
 // parkedCampaign starts a cluster run whose only worker is at capacity,
 // so every primary dispatch parks in acquire and the whole plan
-// is stealable. It returns the coordinator (speculation off), its HTTP
+// is stealable. It returns the coordinator (speculation parked for an hour), its HTTP
 // handler server, the parked member's ID, and a channel carrying Run's
 // outcome. Callers must eventually complete the campaign (by stealing)
 // or release the member's slot.
@@ -154,7 +38,7 @@ func parkedCampaign(t *testing.T, spec service.Spec, alsoParked ...string) (*Coo
 	var parked string
 	for _, u := range append([]string{"http://127.0.0.1:1"}, alsoParked...) {
 		m := mustJoin(t, ms, u) // never dialed: its one slot is held here
-		id, _, err := ms.acquire(context.Background(), "", nil)
+		id, _, err := ms.acquire(context.Background(), nil)
 		if err != nil || id != m.ID {
 			t.Fatalf("failed to park worker %s: %q, %v", u, id, err)
 		}
@@ -163,7 +47,7 @@ func parkedCampaign(t *testing.T, spec service.Spec, alsoParked ...string) (*Coo
 		}
 	}
 	c := NewCoordinator(Config{Members: ms})
-	c.spec.Disabled = true
+	c.spec.Interval, c.spec.MinWait = time.Hour, time.Hour
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
 	out := make(chan runOutcome, 1)
@@ -425,7 +309,7 @@ func TestStealAbandonedByDeadThief(t *testing.T) {
 func testBoard(t *testing.T, spec service.Spec, ranges []shardRange) (*Coordinator, *board, context.Context) {
 	t.Helper()
 	c := NewCoordinator(Config{Members: NewMembershipWith(MembershipConfig{PerWorkerInFlight: 1})})
-	c.spec.Disabled = true
+	c.spec.Interval, c.spec.MinWait = time.Hour, time.Hour
 	b, ctx := boardOn(t, c, spec, ranges)
 	return c, b, ctx
 }
@@ -679,7 +563,7 @@ func TestSpeculationAvoidsClaimHolders(t *testing.T) {
 
 	// worker-001 straggles on task 0 while worker-002 runs task 1.
 	for i, want := range []string{"worker-001", "worker-002"} {
-		id, _, err := ms.acquire(ctx, "", nil)
+		id, _, err := ms.acquire(ctx, nil)
 		if err != nil || id != want {
 			t.Fatalf("acquire = %q, %v; want %s", id, err, want)
 		}
@@ -808,7 +692,6 @@ func TestCoordinatorMetricsExposeElasticCounters(t *testing.T) {
 	}
 	out := buf.String()
 	for _, name := range []string{
-		"scrubd_cluster_ring_version",
 		"scrubd_cluster_steals_served_total",
 		"scrubd_cluster_steals_won_total",
 		"scrubd_cluster_steals_lost_total",
@@ -853,35 +736,9 @@ func TestHealthzCarriesClusterState(t *testing.T) {
 	if body.Role != "coordinator" || len(body.Cluster) == 0 {
 		t.Fatalf("healthz lacks cluster state: %+v", body)
 	}
-	for _, key := range []string{"ring_version", "steals_won", "speculative_wins", "gossip_age_seconds"} {
+	for _, key := range []string{"steals_won", "speculative_wins", "gossip_age_seconds"} {
 		if !strings.Contains(string(body.Cluster), key) {
 			t.Errorf("healthz cluster state missing %q: %s", key, body.Cluster)
 		}
-	}
-}
-
-// TestRingEndpoint exercises GET /v1/cluster/ring.
-func TestRingEndpoint(t *testing.T) {
-	ms := NewMembershipWith(MembershipConfig{})
-	mustJoin(t, ms, "http://10.0.0.1:1")
-	mustJoin(t, ms, "http://10.0.0.2:1")
-	c := NewCoordinator(Config{Members: ms})
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
-
-	resp, err := srv.Client().Get(srv.URL + RingPath)
-	if err != nil {
-		t.Fatalf("GET ring: %v", err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Version uint64   `json:"version"`
-		Members []string `json:"members"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decode ring: %v", err)
-	}
-	if body.Version != ms.RingVersion() || len(body.Members) != 2 {
-		t.Errorf("ring endpoint = %+v, want version %d with 2 members", body, ms.RingVersion())
 	}
 }

@@ -130,11 +130,11 @@ func TestMembershipBreakerRoutesAway(t *testing.T) {
 	// With the healthy worker excluded, the only remaining candidate has
 	// an open breaker: acquire must signal local fallback rather than
 	// hand out a doomed dispatch or block for the cooldown.
-	if _, _, err := ms.acquire(context.Background(), "", map[string]bool{good.ID: true}); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(context.Background(), map[string]bool{good.ID: true}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("acquire with only an open-breaker candidate: err=%v, want ErrNoWorkers", err)
 	}
 	// Unexcluded, acquire picks the healthy worker.
-	id, _, err := ms.acquire(context.Background(), "", nil)
+	id, _, err := ms.acquire(context.Background(), nil)
 	if err != nil || id != good.ID {
 		t.Fatalf("acquire = %q, %v; want %q", id, err, good.ID)
 	}
@@ -142,7 +142,7 @@ func TestMembershipBreakerRoutesAway(t *testing.T) {
 
 	// After the cooldown the open worker admits a single probe again.
 	now = now.Add(time.Minute)
-	id, _, err = ms.acquire(context.Background(), "", map[string]bool{good.ID: true})
+	id, _, err = ms.acquire(context.Background(), map[string]bool{good.ID: true})
 	if err != nil || id != bad.ID {
 		t.Fatalf("post-cooldown acquire = %q, %v; want probe on %q", id, err, bad.ID)
 	}
@@ -150,7 +150,7 @@ func TestMembershipBreakerRoutesAway(t *testing.T) {
 		t.Fatalf("breaker %v during probe, want half-open", st)
 	}
 	// While the probe is out, no second dispatch lands on it.
-	if _, _, err := ms.acquire(context.Background(), "", map[string]bool{good.ID: true}); !errors.Is(err, ErrNoWorkers) {
+	if _, _, err := ms.acquire(context.Background(), map[string]bool{good.ID: true}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("second dispatch during probe: err=%v, want ErrNoWorkers", err)
 	}
 	ms.ReportSuccess(bad.ID)
@@ -199,7 +199,7 @@ func TestMembershipTTLSparesInFlight(t *testing.T) {
 	ms := NewMembershipWith(MembershipConfig{WorkerTTL: time.Minute})
 	ms.now = func() time.Time { return now }
 	m := mustJoinMember(t, ms, "http://busy.example")
-	id, _, err := ms.acquire(context.Background(), "", nil)
+	id, _, err := ms.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}

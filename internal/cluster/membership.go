@@ -63,14 +63,6 @@ type Membership struct {
 	heartbeatFailures atomic.Int64
 	workersEvicted    atomic.Int64
 
-	// epoch counts placement-relevant membership changes (a member
-	// joining or being evicted — not health flips, which are filtered at
-	// acquire time so a bouncing worker does not reshuffle the ring).
-	// ring caches the consistent-hash ring built at epoch; both are
-	// guarded by mu.
-	epoch uint64
-	ring  *Ring
-
 	// now is the clock, a hook for deterministic tests.
 	now func() time.Time
 	// breakerThreshold and breakerCooldown set the circuit breaker of
@@ -136,39 +128,8 @@ func (ms *Membership) Join(rawURL string) (Member, error) {
 	}
 	ms.members[m.id] = m
 	ms.byURL[base] = m.id
-	ms.epoch++
-	ms.ring = nil
 	ms.cond.Broadcast()
 	return m.view(), nil
-}
-
-// ringLocked returns the consistent-hash ring for the current epoch,
-// rebuilding it lazily after membership churn. Caller holds ms.mu.
-func (ms *Membership) ringLocked() *Ring {
-	if ms.ring == nil || ms.ring.version != ms.epoch {
-		ids := make([]string, 0, len(ms.members))
-		for id := range ms.members {
-			ids = append(ids, id)
-		}
-		ms.ring = newRing(ms.epoch, ids)
-	}
-	return ms.ring
-}
-
-// Ring returns the current consistent-hash ring over every registered
-// member (dead members stay on the ring — health is filtered at
-// placement time, so a bouncing worker does not remap placements).
-func (ms *Membership) Ring() *Ring {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.ringLocked()
-}
-
-// RingVersion returns the current placement epoch.
-func (ms *Membership) RingVersion() uint64 {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.epoch
 }
 
 func (m *member) view() Member {
@@ -211,21 +172,18 @@ func (ms *Membership) Size() int {
 	return len(ms.members)
 }
 
-// acquire reserves an in-flight slot on the most-preferred
-// eligible worker for a placement key. With a non-empty key the
-// preference order is the consistent-hash ring sequence for that key
-// (the key's owner first, then its deterministic failover order), so
-// identical shards land on the same node — and on its cache — run after
-// run; ties never arise because the sequence is total. With an empty
-// key it degrades to least-loaded placement (ties by ID), the order
-// used for placement-agnostic dispatches.
+// acquire reserves an in-flight slot on the least-loaded eligible
+// worker, ties broken by ID. Every dispatch — primary, failover and
+// speculative copy — places this way: a shard's cost is the samples it
+// runs, and no worker keeps state that would make one node cheaper for
+// it than another.
 //
 // A worker is eligible when it is alive, its breaker admits an attempt,
 // and neither its ID nor its URL is in exclude. When every eligible
 // worker is at its in-flight bound the call blocks until a slot frees, a
 // member joins, or ctx ends; with no eligible worker at all it returns
 // ErrNoWorkers immediately (the local-fallback signal).
-func (ms *Membership) acquire(ctx context.Context, key string, exclude map[string]bool) (id, baseURL string, err error) {
+func (ms *Membership) acquire(ctx context.Context, exclude map[string]bool) (id, baseURL string, err error) {
 	// Wake the wait loop when the context ends.
 	stop := context.AfterFunc(ctx, func() {
 		ms.mu.Lock()
@@ -241,39 +199,22 @@ func (ms *Membership) acquire(ctx context.Context, key string, exclude map[strin
 			return "", "", err
 		}
 		now := ms.now()
-		eligible := func(m *member) bool {
+		var best *member
+		candidates := false
+		for _, m := range ms.members {
 			// A breaker-open worker is not a candidate at all: with
 			// every worker open we fall back locally rather than
 			// blocking for a cooldown.
-			return m.alive && !exclude[m.id] && !exclude[m.url] && m.brk.canAttempt(now)
-		}
-		var best *member
-		candidates := false
-		if key != "" {
-			for _, mid := range ms.ringLocked().Sequence(key) {
-				m := ms.members[mid]
-				if m == nil || !eligible(m) {
-					continue
-				}
-				candidates = true
-				if m.inFlight < ms.cfg.PerWorkerInFlight {
-					best = m
-					break // ring order is the preference order
-				}
+			if !m.alive || exclude[m.id] || exclude[m.url] || !m.brk.canAttempt(now) {
+				continue
 			}
-		} else {
-			for _, m := range ms.members {
-				if !eligible(m) {
-					continue
-				}
-				candidates = true
-				if m.inFlight >= ms.cfg.PerWorkerInFlight {
-					continue
-				}
-				if best == nil || m.inFlight < best.inFlight ||
-					(m.inFlight == best.inFlight && m.id < best.id) {
-					best = m
-				}
+			candidates = true
+			if m.inFlight >= ms.cfg.PerWorkerInFlight {
+				continue
+			}
+			if best == nil || m.inFlight < best.inFlight ||
+				(m.inFlight == best.inFlight && m.id < best.id) {
+				best = m
 			}
 		}
 		if best != nil {
@@ -380,8 +321,6 @@ func (ms *Membership) evictExpired() {
 		if now.Sub(m.lastSeen) >= ms.cfg.WorkerTTL {
 			delete(ms.members, id)
 			delete(ms.byURL, m.url)
-			ms.epoch++
-			ms.ring = nil
 			ms.workersEvicted.Add(1)
 		}
 	}

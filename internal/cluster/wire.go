@@ -7,11 +7,13 @@
 // sharded run is statistically identical (same per-replica seeds, same
 // merged aggregates, byte-identical result JSON) to a single-node run.
 //
-// The protocol is three endpoints:
+// The protocol is five endpoints:
 //
 //	POST /v1/cluster/join    worker → coordinator: announce {url}
 //	GET  /v1/cluster/workers coordinator: membership listing
 //	POST /v1/cluster/shards  coordinator → worker: execute a replica range
+//	POST /v1/cluster/steal   idle worker → coordinator: take a pending shard
+//	POST /v1/cluster/claims  worker → coordinator: deliver a stolen result
 //
 // plus the workers' ordinary /healthz, which the coordinator heartbeats.
 package cluster
@@ -26,15 +28,14 @@ import (
 )
 
 // Protocol paths. Workers mount ShardPath; coordinators mount JoinPath,
-// WorkersPath, StealPath, ClaimsPath, and RingPath; the heartbeat
-// probes HealthPath.
+// WorkersPath, StealPath and ClaimsPath; the heartbeat probes
+// HealthPath.
 const (
 	ShardPath   = "/v1/cluster/shards"
 	JoinPath    = "/v1/cluster/join"
 	WorkersPath = "/v1/cluster/workers"
 	StealPath   = "/v1/cluster/steal"
 	ClaimsPath  = "/v1/cluster/claims"
-	RingPath    = "/v1/cluster/ring"
 	HealthPath  = "/healthz"
 )
 

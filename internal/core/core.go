@@ -127,10 +127,10 @@ func CombinedMechanism(sys System) (Mechanism, error) {
 	if err := sys.Validate(); err != nil {
 		return Mechanism{}, err
 	}
-	bch8, err := ecc.NewBCHLine(8)
-	if err != nil {
-		return Mechanism{}, err
-	}
+	// The engine reads only a scheme's geometry and correction bound, so
+	// the ladder describes BCH-8 without building its codec: 80 check
+	// bits over the line, as ecc.BCHLine(8) lays it out.
+	bch8 := ecc.NewBCHScheme("BCH-8", ecc.LineBits, 80, 8)
 	// BCH-8 runs two errors of margin below its capability.
 	strongInterval, err := FixedIntervalFor(sys, bch8.T()-2)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -112,6 +113,27 @@ func TestSuiteShape(t *testing.T) {
 	// The strong-ECC ladder runs at a longer interval than basic.
 	if ms[1].Interval <= ms[0].Interval {
 		t.Errorf("strong-ecc interval (%g) should exceed basic (%g)", ms[1].Interval, ms[0].Interval)
+	}
+}
+
+// TestLadderBCH8MatchesCodec pins the count-only BCH-8 scheme every
+// strong rung carries to the geometry of the real BCH-8 line codec: the
+// engine reads nothing else from a scheme, so matching these fields
+// keeps every run as it was under the codec.
+func TestLadderBCH8MatchesCodec(t *testing.T) {
+	ms, err := Suite(smallSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := ecc.MustBCHLine(8)
+	for _, m := range ms[1:] {
+		s := m.Scheme
+		if s.Name() != codec.Name() || s.DataBits() != codec.DataBits() ||
+			s.CheckBits() != codec.CheckBits() || s.T() != codec.T() {
+			t.Errorf("%s: scheme %s %d+%d bits t=%d, codec %s %d+%d bits t=%d", m.Name,
+				s.Name(), s.DataBits(), s.CheckBits(), s.T(),
+				codec.Name(), codec.DataBits(), codec.CheckBits(), codec.T())
+		}
 	}
 }
 

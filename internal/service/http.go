@@ -33,7 +33,7 @@ type HandlerConfig struct {
 	// cluster workers (coordinators set this). Reported by /healthz.
 	LiveWorkers func() int
 	// ClusterInfo, when non-nil, supplies the coordinator's elastic-
-	// cluster state (ring version, steal/speculation counters, gossip
+	// cluster state (worker counts, steal/speculation counters, gossip
 	// freshness) reported under /healthz's "cluster" key.
 	ClusterInfo func() any
 	// ExtraMetrics, when non-nil, is appended to the /metrics exposition

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -171,79 +172,106 @@ func RunShardContext(ctx context.Context, sys System, m Mechanism, w trace.Workl
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	shard := &Shard{
-		First:   first,
-		Count:   count,
-		Results: make([]*engine.Result, count),
+	run := shardRun{
+		sys: sys, m: m, w: w,
+		shard:   &Shard{First: first, Count: count, Results: make([]*engine.Result, count)},
+		allowed: int(math.Floor(maxFailedFraction * float64(count))),
 	}
-	allowedFailures := int(math.Floor(maxFailedFraction * float64(count)))
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failures []ReplicaFailure
-		retried  int
-		aborted  bool
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			doomed := aborted
-			mu.Unlock()
-			if doomed || runCtx.Err() != nil {
-				return // campaign already failed; don't burn more CPU
-			}
-			idx := first + off
-			cellSys := sys
-			cellSys.Seed = replicaSeed(sys.Seed, idx)
-			res, err := safeRunReplica(runCtx, engine.ResolveSpec(cellSys, m, w, engine.Options{}))
-			didRetry := false
-			if err != nil && runCtx.Err() == nil {
-				// One retry under a reseeded derived seed: a different
-				// sample of the same cell, not a rerun into the same
-				// deterministic defect.
-				didRetry = true
-				cellSys.Seed = replicaSeed(sys.Seed, idx) ^ retrySeedSalt
-				res, err = safeRunReplica(runCtx, engine.ResolveSpec(cellSys, m, w, engine.Options{}))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failures = append(failures, ReplicaFailure{
-					Index: idx, Err: fmt.Errorf("core: replica %d: %w", idx, err),
-				})
-				if len(failures) > allowedFailures {
-					aborted = true
-					cancel() // stop in-flight and unstarted replicas
+	if count == 1 {
+		// A lone replica has nothing to abort and nothing to run beside
+		// it: run it here, with no worker, cancel scope or lock traffic.
+		run.replica(ctx, 0)
+	} else {
+		runCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		run.cancel = cancel
+		var (
+			wg   sync.WaitGroup
+			next atomic.Int64
+		)
+		for range min(count, runtime.GOMAXPROCS(0)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for off := int(next.Add(1) - 1); off < count; off = int(next.Add(1) - 1) {
+					run.replica(runCtx, off)
 				}
-				return
-			}
-			shard.Results[off] = res
-			if didRetry {
-				retried++
-			}
-		}(i)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: replication canceled: %w", err)
 	}
+	failures := run.failures
 	sortFailures(failures)
-	if len(failures) > allowedFailures {
+	if len(failures) > run.allowed {
 		// Too broken to degrade gracefully; surface the first failure.
 		return nil, fmt.Errorf("core: %d/%d replicas failed (budget %d): %w",
-			len(failures), count, allowedFailures, failures[0].Err)
+			len(failures), count, run.allowed, failures[0].Err)
 	}
-	shard.Failures = failures
-	shard.Retried = retried
-	return shard, nil
+	run.shard.Failures = failures
+	run.shard.Retried = run.retried
+	return run.shard, nil
+}
+
+// shardRun is one RunShardContext call's shared state: the cell, the
+// shard being filled, and the supervision bookkeeping its replicas
+// update under mu.
+type shardRun struct {
+	sys     System
+	m       Mechanism
+	w       trace.Workload
+	shard   *Shard
+	allowed int                // failures tolerated before the shard aborts
+	cancel  context.CancelFunc // stops the other replicas; nil for one replica
+
+	mu       sync.Mutex
+	failures []ReplicaFailure
+	retried  int
+	aborted  bool
+}
+
+// replica runs shard offset off, retrying once under a reseeded derived
+// seed, and records its result or failure.
+func (r *shardRun) replica(ctx context.Context, off int) {
+	r.mu.Lock()
+	doomed := r.aborted
+	r.mu.Unlock()
+	if doomed || ctx.Err() != nil {
+		return // campaign already failed; don't burn more CPU
+	}
+	idx := r.shard.First + off
+	cellSys := r.sys
+	cellSys.Seed = replicaSeed(r.sys.Seed, idx)
+	res, err := safeRunReplica(ctx, engine.ResolveSpec(cellSys, r.m, r.w, engine.Options{}))
+	didRetry := false
+	if err != nil && ctx.Err() == nil {
+		// One retry under a reseeded derived seed: a different
+		// sample of the same cell, not a rerun into the same
+		// deterministic defect.
+		didRetry = true
+		cellSys.Seed = replicaSeed(r.sys.Seed, idx) ^ retrySeedSalt
+		res, err = safeRunReplica(ctx, engine.ResolveSpec(cellSys, r.m, r.w, engine.Options{}))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		r.failures = append(r.failures, ReplicaFailure{
+			Index: idx, Err: fmt.Errorf("core: replica %d: %w", idx, err),
+		})
+		if len(r.failures) > r.allowed {
+			r.aborted = true
+			if r.cancel != nil {
+				r.cancel() // stop in-flight and unstarted replicas
+			}
+		}
+		return
+	}
+	r.shard.Results[off] = res
+	if didRetry {
+		r.retried++
+	}
 }
 
 // sortFailures orders failures by replica index for stable reporting.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 // TestShardedMergeMatchesSingleNode pins the cluster determinism
@@ -145,5 +146,33 @@ func TestMergeReplicatedGlobalBudget(t *testing.T) {
 	}
 	if rep.Failures[0].Index != 1 || rep.Failures[1].Index != 2 {
 		t.Errorf("failures not index-sorted: %+v", rep.Failures)
+	}
+}
+
+// BenchmarkRunShard times one single-replica shard of the benchmark's
+// write-heavy campaign (db-oltp on 512 lines over three hours), the unit
+// scrubbench's campaign clients issue, alternating basic and combined.
+// Its B/op is the garbage one replica leaves behind besides its result.
+func BenchmarkRunShard(b *testing.B) {
+	sys := DefaultSystem()
+	sys.Geometry.RowsPerBank = 2
+	sys.Horizon = 10800
+	w, err := trace.ByName("db-oltp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mechs [2]Mechanism
+	for i, name := range []string{"basic", "combined"} {
+		if mechs[i], err = SuiteMechanism(sys, name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunShardContext(ctx, sys, mechs[i%2], w, i, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

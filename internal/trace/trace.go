@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -70,44 +71,56 @@ func (w *Workload) Validate() error {
 // memory region. Not safe for concurrent use.
 type Generator struct {
 	w          Workload
+	phases     []Phase // w.Phases, copied so the generator owns it
 	totalLines int
 	footprint  int
 	perm       []int32 // footprint rank -> line index
-	zipf       *stats.Zipf
+	zipf       stats.Zipf
 	cycleLen   float64 // total duration of the phase sequence
 }
 
 // NewGenerator builds a generator over totalLines lines, using r to lay
 // out the footprint (hot-line placement is part of the experiment seed).
 func NewGenerator(w Workload, totalLines int, r *stats.RNG) (*Generator, error) {
-	if err := w.Validate(); err != nil {
+	g := new(Generator)
+	if err := g.Reset(w, totalLines, r); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// Reset rebuilds g in place, exactly as NewGenerator would build it,
+// reusing its permutation and Zipf table where they have the capacity.
+func (g *Generator) Reset(w Workload, totalLines int, r *stats.RNG) error {
+	if err := w.Validate(); err != nil {
+		return err
+	}
 	if totalLines < 1 {
-		return nil, fmt.Errorf("trace: totalLines must be >= 1")
+		return fmt.Errorf("trace: totalLines must be >= 1")
 	}
 	footprint := int(w.FootprintFrac * float64(totalLines))
 	if footprint < 1 {
 		footprint = 1
 	}
-	g := &Generator{
-		w:          w,
-		totalLines: totalLines,
-		footprint:  footprint,
-		zipf:       stats.NewZipf(footprint, w.ZipfSkew),
-	}
+	g.phases = append(g.phases[:0], w.Phases...)
+	g.w = w
+	g.w.Phases = g.phases
+	g.totalLines = totalLines
+	g.footprint = footprint
+	g.zipf.Reset(footprint, w.ZipfSkew)
 	// Scatter the footprint across physical lines: hot Zipf ranks land on
 	// arbitrary rows/banks, as virtual-to-physical mapping would do.
-	g.perm = make([]int32, totalLines)
+	g.perm = slices.Grow(g.perm[:0], totalLines)[:totalLines]
 	for i := range g.perm {
 		g.perm[i] = int32(i)
 	}
 	r.Shuffle(totalLines, func(i, j int) { g.perm[i], g.perm[j] = g.perm[j], g.perm[i] })
 	g.perm = g.perm[:footprint]
+	g.cycleLen = 0
 	for _, ph := range w.Phases {
 		g.cycleLen += ph.DurationSec
 	}
-	return g, nil
+	return nil
 }
 
 // Workload returns the generator's workload description.

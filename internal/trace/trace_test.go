@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -235,5 +236,42 @@ func TestWorkloadSuiteSpansIntensitySpace(t *testing.T) {
 	}
 	if !hasHot || !hasCold {
 		t.Error("workload suite should span write-heavy to near-idle")
+	}
+}
+
+// TestResetMatchesNewGenerator rebuilds one generator over a sequence of
+// workloads and sizes, larger and smaller, and checks each rebuild draws
+// exactly the events a fresh NewGenerator draws from the same streams.
+func TestResetMatchesNewGenerator(t *testing.T) {
+	reused := new(Generator)
+	for i, c := range []struct {
+		name  string
+		lines int
+	}{{"db-oltp", 4096}, {"idle-archive", 512}, {"hpc-stencil", 2048}, {"db-oltp", 64}} {
+		w, err := ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(300 + i)
+		fresh, err := NewGenerator(w, c.lines, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Reset(w, c.lines, stats.NewRNG(seed)); err != nil {
+			t.Fatal(err)
+		}
+		ra, rb := stats.NewRNG(seed+1), stats.NewRNG(seed+1)
+		var a, b []int
+		for e := 0; e < 20; e++ {
+			tt := float64(e) * 3600
+			a = fresh.WritesInEpoch(ra, tt, 3600, a)
+			b = reused.WritesInEpoch(rb, tt, 3600, b)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s/%d epoch %d: reset generator drew %v, fresh %v", c.name, c.lines, e, b, a)
+			}
+		}
+		if fresh.WriteRateAt(1e5) != reused.WriteRateAt(1e5) || fresh.FootprintLines() != reused.FootprintLines() {
+			t.Fatalf("%s/%d: reset generator's rates or footprint differ", c.name, c.lines)
+		}
 	}
 }

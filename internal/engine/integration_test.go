@@ -70,21 +70,21 @@ func TestUERateMatchesAnalyticTail(t *testing.T) {
 	// estimated by the scheme's own placement Monte Carlo.
 	placeRNG := stats.NewRNG(999)
 	pUE := 0.0
-	prevTail := 1.0
-	for k := 1; k <= 20; k++ {
-		tail := model.LineErrorTailGE(cfg.Mix, pcm.CellsPerLine, k, cfg.Interval)
-		pk := prevTail - tail
-		prevTail = tail
-		if k >= 2 && pk > 0 {
+	geK := model.LineErrorTailGE(cfg.Mix, pcm.CellsPerLine, 2, cfg.Interval) // P(>= k errors)
+	for k := 2; k <= 20; k++ {
+		geNext := model.LineErrorTailGE(cfg.Mix, pcm.CellsPerLine, k+1, cfg.Interval)
+		if pk := geK - geNext; pk > 0 { // P(exactly k errors)
 			pUncorr := ecc.UncorrectableProb(cfg.Scheme, placeRNG, k, 2000)
 			pUE += pk * pUncorr
 		}
+		geK = geNext
 	}
-	pUE += prevTail // >20 errors: certainly uncorrectable
+	pUE += geK // >20 errors: certainly uncorrectable
 
 	lines := float64(cfg.Geometry.TotalLines())
 	sweeps := float64(res.Sweeps)
 	measured := float64(res.UEs) / (lines * sweeps)
+	t.Logf("UE rate per line-visit: measured %.3f, analytic %.3f (ratio %.2f)", measured, pUE, measured/pUE)
 	// Generous band: placement MC and the ramp-up sweep add noise, and
 	// the binomial count is small. Require same order of magnitude and
 	// a two-sided factor-2.5 agreement.

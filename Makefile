@@ -179,8 +179,9 @@ smoke-cluster-elastic:
 	test -n "$$purl"; echo "smoke-cluster-elastic: chaosproxy $$purl -> $$waddr"; \
 	$$dir/scrubd -addr 127.0.0.1:0 -role worker -join $$base -heartbeat 250ms >$$dir/w1.log 2>&1 & w1=$$!; \
 	$$dir/scrubd -addr $$waddr -role worker -join $$base -advertise $$purl -heartbeat 250ms >$$dir/w2.log 2>&1 & w2=$$!; \
-	for i in $$(seq 1 100); do curl -sf $$base/healthz | grep -q '"live_workers":2' && break; sleep 0.1; done; \
-	curl -sf $$base/healthz | grep -q '"live_workers":2' || { echo "smoke-cluster-elastic: workers never joined"; cat $$log; exit 1; }; \
+	joined=""; \
+	for i in $$(seq 1 100); do curl -sf $$base/healthz | grep -q '"live_workers":2' && { joined=yes; break; }; sleep 0.1; done; \
+	[ "$$joined" = yes ] || { echo "smoke-cluster-elastic: workers never joined"; cat $$log; exit 1; }; \
 	echo "smoke-cluster-elastic: two workers joined (one behind chaos)"; \
 	id=$$(curl -sf -X POST $$base/v1/jobs -d '$(ELASTIC_SPEC)' | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'); \
 	test -n "$$id"; echo "smoke-cluster-elastic: submitted $$id"; \

@@ -121,7 +121,7 @@ func (d *Device) Totals() Result {
 // path itself stays untouched.
 func (d *Device) visitObserved(slot int, tv float64, rs *scrub.RoundStats, rep *ChunkReport) {
 	s := d.s
-	errBits, _ := s.errorBits(slot, tv)
+	errBits := s.errorBits(slot, tv)
 	if s.ondie != nil {
 		// Telemetry reports what the controller can see: the on-die layer
 		// hides sub-strength errors from the observation record too.

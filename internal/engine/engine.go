@@ -14,9 +14,10 @@
 //     visits, so a cancelled run returns in O(stride) visits rather than
 //     at the next substep boundary;
 //   - an allocation-lean hot path: per-run scratch (line state, crossing
-//     buffers, patrol order) is recycled through a sync.Pool, drift
-//     samplers are shared across runs of the same device parameters, and
-//     endurance initialisation draws into reused per-line buffers.
+//     streams, patrol order, the demand generator) is recycled through a
+//     sync.Pool, drift samplers are shared across runs of the same device
+//     parameters, and endurance initialisation draws into reused per-line
+//     buffers.
 //
 // A run's Result is a pure function of its Spec; the golden fingerprint
 // tests here and in internal/core pin it to the pre-engine sim loop.

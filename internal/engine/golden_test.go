@@ -21,12 +21,12 @@ func TestGoldenDeterminism(t *testing.T) {
 		Energy                                      float64
 	}
 	want := golden{
-		UEs:         0,
-		ScrubWrites: 506,
-		Corrected:   684,
-		Demand:      61,
+		UEs:         1,
+		ScrubWrites: 498,
+		Corrected:   653,
+		Demand:      64,
 		Visits:      1280,
-		Energy:      5.2310216e+07,
+		Energy:      5.1513128e+07,
 	}
 	got := golden{
 		UEs:         res.UEs,

@@ -198,7 +198,7 @@ func trajectoryDigest(t *testing.T) ([]byte, string) {
 // goldenTrajectorySHA pins the scripted trajectory's full observable
 // state. If an intentional engine or control-plane change shifts it,
 // re-run with -update-golden semantics: the test logs the new digest.
-const goldenTrajectorySHA = "317a2d0a751262328be0ac7405c1d6d776440299d19eba0d73ffa46f5a20345d"
+const goldenTrajectorySHA = "9044f0f4d7b436ee94908801f6d5679fb844f92253527e560689adc12d1dc73f"
 
 func TestGoldenDeterministicTrajectory(t *testing.T) {
 	rawA, shaA := trajectoryDigest(t)

@@ -19,8 +19,8 @@ func invertProb(ls *levelSampler, p float64) float64 {
 }
 
 // TestCrossingTimesMatchAnalyticCDF draws at least 2e5 crossing times per
-// level from single-level lines (k = ncells, so no saturation truncates a
-// line) and KS-tests them against the analytic conditional CDF
+// level from single-level lines, each stream drawn to exhaustion (k =
+// ncells, so no cap truncates a line), and KS-tests them against the analytic conditional CDF
 // ErrProbAtX(level, X(t)) / pmax at α = 0.001.
 func TestCrossingTimesMatchAnalyticCDF(t *testing.T) {
 	const (
@@ -42,7 +42,7 @@ func TestCrossingTimesMatchAnalyticCDF(t *testing.T) {
 		// Whole lines only: stopping on the running count does not
 		// condition the times within a line.
 		for len(xs) < want {
-			buf = s.SampleCrossings(r, buf)
+			buf = exhaust(s, r, buf)
 			xs = append(xs, buf...)
 		}
 		pmax := m.ErrProbAtX(level, maxX)

@@ -23,7 +23,7 @@ func TestCrossingTimeDistributionKS(t *testing.T) {
 	var fast []float64
 	var buf []float64
 	for trial := 0; trial < 4000; trial++ {
-		buf = s.SampleCrossings(rFast, buf)
+		buf = exhaust(s, rFast, buf)
 		fast = append(fast, buf...)
 	}
 

@@ -97,18 +97,21 @@ func (ls *levelSampler) timeAt(s float64) float64 {
 	return tl + (s-sl)/(sh-sl)*(ls.tGrid[hi]-tl)
 }
 
-// LineSampler draws, for a freshly written line, the earliest error
-// crossing times among its cells — the simulator's entire per-line state.
+// LineSampler draws a written line's error crossings lazily, one level
+// stream at a time: a write draws each level's first crossing, and a
+// caller that sees a crossing pass draws that level's next one.
 //
 // Method: for each level, the crossing times of that level's n cells are
 // n i.i.d. draws from the level's (defective) crossing-time distribution.
-// We generate the ascending order statistics of n uniforms with the Rényi
-// exponential-spacings construction and push each through the inverse CDF,
-// stopping at the modelled horizon or after K draws. Cost is O(K) per
-// level per line write, independent of how many cells would eventually
-// drift across.
+// Their ascending order is the inverse CDF of the ascending order
+// statistics of n uniforms, which the Rényi exponential-spacings
+// construction builds as running sums of independent spacings. Because
+// the spacings are independent, the next crossing can be drawn when the
+// previous one has passed, with the same law as drawing all of them at
+// the write. A level stream ends at the modelled horizon or after K
+// crossings. A write costs one spacing per active level; a crossing costs
+// one more when a caller passes it.
 type LineSampler struct {
-	model  *Model
 	mix    LevelMix
 	ncells int
 	k      int
@@ -124,12 +127,29 @@ type LineSampler struct {
 	pool [][Levels]int
 }
 
+// Stream is one active level's crossing stream on a written line.
+type Stream struct {
+	// Next is the time of the level's next crossing in seconds after the
+	// write, +Inf once the level has no crossing left before the horizon
+	// or has reached K crossings.
+	Next float64
+	// Sum is the spacing sum of the next crossing.
+	Sum float64
+	// Cells is the number of the line's cells written at this level.
+	Cells int32
+	// Passed counts the crossings passed so far.
+	Passed int32
+}
+
+// headFloats is how many floats SampleCrossings writes per stream.
+const headFloats = 3
+
 // countPoolSize is the number of presampled data patterns. Large enough
 // that pattern reuse across a simulation adds no visible correlation.
 const countPoolSize = 4096
 
 // NewLineSampler builds a sampler for lines of ncells cells with the given
-// level mix, tracking the k earliest crossings per line.
+// level mix, drawing at most k crossings per level.
 func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
@@ -140,7 +160,7 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 	if k < 1 {
 		return nil, fmt.Errorf("pcm: k must be >= 1, got %d", k)
 	}
-	s := &LineSampler{model: m, mix: mix, ncells: ncells, k: k}
+	s := &LineSampler{mix: mix, ncells: ncells, k: k}
 	for level := 0; level < Levels; level++ {
 		if mix[level] == 0 {
 			continue
@@ -160,11 +180,9 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 	return s, nil
 }
 
-// K returns the number of earliest crossings tracked per line.
-func (s *LineSampler) K() int { return s.k }
-
-// Model returns the underlying drift model.
-func (s *LineSampler) Model() *Model { return s.model }
+// Streams returns the number of streams a line carries, one per active
+// level.
+func (s *LineSampler) Streams() int { return len(s.active) }
 
 // sampleCounts draws a multinomial split of the line's cells across levels
 // (the data pattern written this time).
@@ -189,49 +207,57 @@ func (s *LineSampler) sampleCounts(r *stats.RNG) [Levels]int {
 	return counts
 }
 
-// SampleCrossings simulates one line write and returns the sorted earliest
-// crossing times (seconds since the write), at most K entries. If exactly
-// K entries are returned, the line may have further crossings beyond the
-// last entry: callers must treat an error count that reaches K as
-// "at least K" (saturation).
+// SampleCrossings simulates one line write: it draws the data pattern
+// and each active level's first crossing, and returns the stream heads,
+// headFloats per stream in Streams order: the level's cell count, the
+// spacing sum of its first crossing, and that crossing's time in seconds
+// after the write (+Inf if it has none). Heads unpacks them; Advance
+// draws each later crossing.
 //
 // The out slice is reused if it has capacity.
 func (s *LineSampler) SampleCrossings(r *stats.RNG, out []float64) []float64 {
 	out = out[:0]
 	counts := &s.pool[r.Intn(countPoolSize)]
-	for _, level := range s.active {
-		n := counts[level]
-		if n == 0 {
-			continue
-		}
-		ls := s.levels[level]
-		// Rényi: the ascending order statistics of n uniforms are
-		// 1 − exp(−S_j) for the partial sums S_j of exponential spacings
-		// E/(n−j). The grid lives in that s domain, so each sum is tested
-		// against the horizon and inverted without leaving it.
-		sum := 0.0
-		for j := 0; j < n && j < s.k; j++ {
-			sum += r.Exponential(1) / float64(n-j)
-			if sum >= ls.smax {
-				break
-			}
-			out = append(out, ls.timeAt(sum))
-		}
-	}
-	// Insertion sort: out holds at most a few × k ≤ 48 entries and each
-	// level's contribution is already ascending, so this beats the
-	// general-purpose sort on the hot path.
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && out[j] > v {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = v
-	}
-	if len(out) > s.k {
-		out = out[:s.k]
+	for a, level := range s.active {
+		st := Stream{Cells: int32(counts[level])}
+		s.draw(r, a, &st)
+		out = append(out, float64(st.Cells), st.Sum, st.Next)
 	}
 	return out
+}
+
+// Heads unpacks the stream heads SampleCrossings returned into dst, which
+// holds Streams entries.
+func (s *LineSampler) Heads(heads []float64, dst []Stream) {
+	for a := range dst {
+		h := heads[a*headFloats : (a+1)*headFloats]
+		dst[a] = Stream{Cells: int32(h[0]), Sum: h[1], Next: h[2]}
+	}
+}
+
+// Advance counts stream a's next crossing as passed and draws the one
+// after it.
+func (s *LineSampler) Advance(r *stats.RNG, a int, st *Stream) {
+	st.Passed++
+	s.draw(r, a, st)
+}
+
+// draw sets st.Next to the time of its crossing number st.Passed+1. By
+// Rényi, the ascending order statistics of n uniforms are 1 − exp(−S_j)
+// for the partial sums S_j of exponential spacings E/(n−j). The grid
+// lives in that s domain, so each sum is tested against the horizon and
+// inverted without leaving it.
+func (s *LineSampler) draw(r *stats.RNG, a int, st *Stream) {
+	j := st.Passed
+	if j >= st.Cells || int(j) >= s.k {
+		st.Next = math.Inf(1)
+		return
+	}
+	ls := s.levels[s.active[a]]
+	st.Sum += r.Exponential(1) / float64(st.Cells-j)
+	if st.Sum >= ls.smax {
+		st.Next = math.Inf(1)
+		return
+	}
+	st.Next = ls.timeAt(st.Sum)
 }

@@ -21,6 +21,24 @@ func TestNewLineSamplerValidation(t *testing.T) {
 	}
 }
 
+// exhaust simulates one line write with SampleCrossings and draws each
+// level's stream to exhaustion, returning every crossing the line shows
+// before the horizon, ascending, reusing out.
+func exhaust(s *LineSampler, r *stats.RNG, out []float64) []float64 {
+	var st [Levels]Stream
+	streams := st[:s.Streams()]
+	s.Heads(s.SampleCrossings(r, nil), streams)
+	out = out[:0]
+	for a := range streams {
+		for !math.IsInf(streams[a].Next, 1) {
+			out = append(out, streams[a].Next)
+			s.Advance(r, a, &streams[a])
+		}
+	}
+	sort.Float64s(out)
+	return out
+}
+
 func TestSampleCrossingsSortedAndBounded(t *testing.T) {
 	m := MustModel(DefaultParams())
 	s, err := NewLineSampler(m, UniformMix(), 256, 12)
@@ -28,18 +46,21 @@ func TestSampleCrossingsSortedAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := stats.NewRNG(81)
-	var buf []float64
+	var heads []float64
+	streams := make([]Stream, s.Streams())
 	for trial := 0; trial < 500; trial++ {
-		buf = s.SampleCrossings(r, buf)
-		if len(buf) > 12 {
-			t.Fatalf("returned %d crossings, k=12", len(buf))
-		}
-		if !sort.Float64sAreSorted(buf) {
-			t.Fatalf("crossings not sorted: %v", buf)
-		}
-		for _, ct := range buf {
-			if ct < 0 || math.IsInf(ct, 0) || math.IsNaN(ct) {
-				t.Fatalf("bad crossing time %g", ct)
+		heads = s.SampleCrossings(r, heads)
+		s.Heads(heads, streams)
+		for a := range streams {
+			st := &streams[a]
+			for prev := 0.0; !math.IsInf(st.Next, 1); s.Advance(r, a, st) {
+				if st.Next < prev || math.IsNaN(st.Next) {
+					t.Fatalf("stream %d stepped from %g to %g", a, prev, st.Next)
+				}
+				prev = st.Next
+			}
+			if st.Passed > 12 {
+				t.Fatalf("stream %d drew %d crossings, k=12", a, st.Passed)
 			}
 		}
 	}
@@ -60,7 +81,7 @@ func TestSampleCrossingsCountMatchesAnalytic(t *testing.T) {
 	sums := make([]float64, len(checkAt))
 	var buf []float64
 	for trial := 0; trial < trials; trial++ {
-		buf = s.SampleCrossings(r, buf)
+		buf = exhaust(s, r, buf)
 		for j, tt := range checkAt {
 			c := 0
 			for _, ct := range buf {
@@ -122,7 +143,7 @@ func TestSampleCrossingsMatchesBruteForceDistribution(t *testing.T) {
 	fastGE1, fastGE2 := 0, 0
 	var buf []float64
 	for trial := 0; trial < trials; trial++ {
-		buf = s.SampleCrossings(r2, buf)
+		buf = exhaust(s, r2, buf)
 		errs := 0
 		for _, ct := range buf {
 			if ct <= tSec {
@@ -162,15 +183,15 @@ func TestSampleCrossingsSingleLevelMix(t *testing.T) {
 	}
 	r := stats.NewRNG(87)
 	for trial := 0; trial < 100; trial++ {
-		if buf := s.SampleCrossings(r, nil); len(buf) != 0 {
+		if buf := exhaust(s, r, nil); len(buf) != 0 {
 			t.Fatalf("top-level-only line produced crossings: %v", buf)
 		}
 	}
 }
 
 func TestSampleCrossingsSaturation(t *testing.T) {
-	// At an extreme horizon nearly all level-2 cells cross; the sampler
-	// must cap at K and the K-th entry must be an early crossing.
+	// At an extreme horizon nearly all level-2 cells cross; the level's
+	// stream must stop at K crossings.
 	m := MustModel(DefaultParams())
 	const k = 6
 	s, err := NewLineSampler(m, LevelMix{0, 0, 1, 0}, 256, k)
@@ -180,7 +201,10 @@ func TestSampleCrossingsSaturation(t *testing.T) {
 	r := stats.NewRNG(89)
 	sawFull := 0
 	for trial := 0; trial < 200; trial++ {
-		buf := s.SampleCrossings(r, nil)
+		buf := exhaust(s, r, nil)
+		if len(buf) > k {
+			t.Fatalf("level-2-only line drew %d crossings, k=%d", len(buf), k)
+		}
 		if len(buf) == k {
 			sawFull++
 		}
@@ -212,7 +236,7 @@ func TestSampleCrossingsCertainLevel(t *testing.T) {
 	r := stats.NewRNG(97)
 	var buf []float64
 	for trial := 0; trial < 50; trial++ {
-		buf = s.SampleCrossings(r, buf)
+		buf = exhaust(s, r, buf)
 		if len(buf) != ncells {
 			t.Fatalf("%d of %d certain cells crossed", len(buf), ncells)
 		}

@@ -179,7 +179,7 @@ func TestBinomialPMFEdges(t *testing.T) {
 }
 
 func TestZipfUniformWhenSkewZero(t *testing.T) {
-	z := NewZipf(8, 0)
+	z := newZipf(8, 0)
 	for i := 0; i < 8; i++ {
 		if math.Abs(z.Prob(i)-0.125) > 1e-12 {
 			t.Errorf("P(%d) = %v, want 0.125", i, z.Prob(i))
@@ -188,7 +188,7 @@ func TestZipfUniformWhenSkewZero(t *testing.T) {
 }
 
 func TestZipfSkewOrdersProbabilities(t *testing.T) {
-	z := NewZipf(100, 1.0)
+	z := newZipf(100, 1.0)
 	for i := 1; i < 100; i++ {
 		if z.Prob(i) > z.Prob(i-1)+1e-15 {
 			t.Fatalf("P(%d)=%g > P(%d)=%g", i, z.Prob(i), i-1, z.Prob(i-1))
@@ -206,7 +206,7 @@ func TestZipfSkewOrdersProbabilities(t *testing.T) {
 
 func TestZipfSampleFrequencies(t *testing.T) {
 	r := NewRNG(101)
-	z := NewZipf(16, 0.8)
+	z := newZipf(16, 0.8)
 	counts := make([]int, 16)
 	const trials = 200000
 	for i := 0; i < trials; i++ {
@@ -224,7 +224,7 @@ func TestZipfProbSumsToOne(t *testing.T) {
 	f := func(nRaw uint8, sRaw uint8) bool {
 		n := int(nRaw%200) + 1
 		s := float64(sRaw) / 64 // 0..4
-		z := NewZipf(n, s)
+		z := newZipf(n, s)
 		sum := 0.0
 		for i := 0; i < n; i++ {
 			sum += z.Prob(i)
@@ -244,16 +244,16 @@ func TestZipfPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewZipf(%d,%g) did not panic", c.n, c.s)
+					t.Errorf("Zipf.Reset(%d,%g) did not panic", c.n, c.s)
 				}
 			}()
-			NewZipf(c.n, c.s)
+			newZipf(c.n, c.s)
 		}()
 	}
 }
 
 func TestZipfProbOutOfRange(t *testing.T) {
-	z := NewZipf(4, 1)
+	z := newZipf(4, 1)
 	if z.Prob(-1) != 0 || z.Prob(4) != 0 {
 		t.Error("out-of-range Prob should be 0")
 	}
@@ -274,4 +274,11 @@ func BenchmarkStdNormalQuantile(b *testing.B) {
 	if math.IsNaN(sink) {
 		b.Fatal("NaN quantile")
 	}
+}
+
+// newZipf builds a Zipf sampler over n elements with skew s.
+func newZipf(n int, s float64) *Zipf {
+	z := new(Zipf)
+	z.Reset(n, s)
+	return z
 }

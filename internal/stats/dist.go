@@ -143,15 +143,19 @@ func logChoose(n, k int) float64 {
 }
 
 // Zipf samples from a Zipf(s) distribution over {0, 1, ..., n-1}: element i
-// has probability proportional to 1/(i+1)^s. Sampling is O(log n) via a
-// precomputed cumulative table (built once, O(n)).
+// has probability proportional to 1/(i+1)^s. Sampling inverts a
+// precomputed cumulative table (built once, O(n)) through a guide table,
+// in O(1) expected steps.
 type Zipf struct {
-	cum []float64 // cum[i] = P(X <= i), strictly increasing to 1
+	cum []float64 // cum[i] = P(X <= i), non-decreasing to cum[n-1] = 1
+	// guide[b] is the first i whose cum[i] lies in bucket b or above,
+	// where bucket(u) = ⌊u·n⌋ (n+1 entries: cum[n-1] = 1 is in bucket n).
+	guide []int32
 }
 
 // Reset builds z over n elements with skew s >= 0 (s == 0 is uniform),
-// reusing its cumulative table when it has the capacity; the zero Zipf
-// is ready for it. It panics if n <= 0 or s < 0.
+// reusing its tables when they have the capacity; the zero Zipf is ready
+// for it. It panics if n <= 0 or s < 0.
 func (z *Zipf) Reset(n int, s float64) {
 	if n <= 0 {
 		panic("stats: Zipf over non-positive n")
@@ -171,34 +175,30 @@ func (z *Zipf) Reset(n int, s float64) {
 	}
 	cum[n-1] = 1 // guard against rounding
 	z.cum = cum
-}
-
-// N returns the number of elements in the sampler's support.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Sample draws one element.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	// Binary search for the first index with cum[i] >= u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+	guide := slices.Grow(z.guide[:0], n+1)[:n+1]
+	nf := float64(n)
+	i := 0
+	for b := range guide {
+		for int(cum[i]*nf) < b {
+			i++
 		}
+		guide[b] = int32(i)
 	}
-	return lo
+	z.guide = guide
 }
 
-// Prob returns the probability of element i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cum) {
-		return 0
+// Sample draws one element: the first i with cum[i] >= u for one uniform
+// u. The guide table starts the scan at u's bucket. Every element before
+// guide[⌊u·n⌋] has its cum in a lower bucket, so below u (the bucket is
+// monotone in its argument, rounding included), and the scan stops at the
+// same index a binary search over cum would return.
+func (z *Zipf) Sample(r *RNG) int { return z.at(r.Float64()) }
+
+// at returns the element a uniform u in [0, 1) selects.
+func (z *Zipf) at(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.cum)))])
+	for z.cum[i] < u {
+		i++
 	}
-	if i == 0 {
-		return z.cum[0]
-	}
-	return z.cum[i] - z.cum[i-1]
+	return i
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -181,8 +182,8 @@ func TestBinomialPMFEdges(t *testing.T) {
 func TestZipfUniformWhenSkewZero(t *testing.T) {
 	z := newZipf(8, 0)
 	for i := 0; i < 8; i++ {
-		if math.Abs(z.Prob(i)-0.125) > 1e-12 {
-			t.Errorf("P(%d) = %v, want 0.125", i, z.Prob(i))
+		if math.Abs(zipfProb(z, i)-0.125) > 1e-12 {
+			t.Errorf("P(%d) = %v, want 0.125", i, zipfProb(z, i))
 		}
 	}
 }
@@ -190,8 +191,8 @@ func TestZipfUniformWhenSkewZero(t *testing.T) {
 func TestZipfSkewOrdersProbabilities(t *testing.T) {
 	z := newZipf(100, 1.0)
 	for i := 1; i < 100; i++ {
-		if z.Prob(i) > z.Prob(i-1)+1e-15 {
-			t.Fatalf("P(%d)=%g > P(%d)=%g", i, z.Prob(i), i-1, z.Prob(i-1))
+		if zipfProb(z, i) > zipfProb(z, i-1)+1e-15 {
+			t.Fatalf("P(%d)=%g > P(%d)=%g", i, zipfProb(z, i), i-1, zipfProb(z, i-1))
 		}
 	}
 	// Element 0 should carry ~1/H(100) of the mass.
@@ -199,8 +200,8 @@ func TestZipfSkewOrdersProbabilities(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h += 1 / float64(i)
 	}
-	if math.Abs(z.Prob(0)-1/h) > 1e-12 {
-		t.Errorf("P(0) = %v, want %v", z.Prob(0), 1/h)
+	if math.Abs(zipfProb(z, 0)-1/h) > 1e-12 {
+		t.Errorf("P(0) = %v, want %v", zipfProb(z, 0), 1/h)
 	}
 }
 
@@ -213,7 +214,7 @@ func TestZipfSampleFrequencies(t *testing.T) {
 		counts[z.Sample(r)]++
 	}
 	for i, c := range counts {
-		want := z.Prob(i) * trials
+		want := zipfProb(z, i) * trials
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want)+5 {
 			t.Errorf("element %d: count %d, want ~%.0f", i, c, want)
 		}
@@ -227,7 +228,7 @@ func TestZipfProbSumsToOne(t *testing.T) {
 		z := newZipf(n, s)
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += z.Prob(i)
+			sum += zipfProb(z, i)
 		}
 		return math.Abs(sum-1) < 1e-9
 	}
@@ -254,8 +255,84 @@ func TestZipfPanics(t *testing.T) {
 
 func TestZipfProbOutOfRange(t *testing.T) {
 	z := newZipf(4, 1)
-	if z.Prob(-1) != 0 || z.Prob(4) != 0 {
+	if zipfProb(z, -1) != 0 || zipfProb(z, 4) != 0 {
 		t.Error("out-of-range Prob should be 0")
+	}
+}
+
+// searchZipf is the binary search Zipf.Sample ran before its guide
+// table: the first index with cum[i] >= u.
+func searchZipf(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBinarySearch holds the guided draw to the binary
+// search bit for bit: the same u must select the same element, so no
+// seeded run moves. It checks random u, every cumulative value and
+// bucket boundary b/n with their one-ulp neighbours, and the largest u
+// Float64 returns, whose bucket ⌊u·n⌋ is the last the guide covers.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	const random = 1000000
+	for _, n := range []int{1, 2, 409, 16384} {
+		for _, skew := range []float64{0, 0.9, 1.1} {
+			z := newZipf(n, skew)
+			if len(z.guide) != n+1 {
+				t.Fatalf("n=%d skew=%g: guide has %d entries, want %d", n, skew, len(z.guide), n+1)
+			}
+			check := func(u float64) bool {
+				if u < 0 || u >= 1 {
+					return true // outside Float64's range
+				}
+				if got, want := z.at(u), searchZipf(z.cum, u); got != want {
+					t.Errorf("n=%d skew=%g: u=%.17g selects %d, binary search %d", n, skew, u, got, want)
+					return false
+				}
+				return true
+			}
+			near := func(u float64) bool {
+				return check(math.Nextafter(u, -1)) && check(u) && check(math.Nextafter(u, 2))
+			}
+			ok := near(0) && near(1) // 0 and the largest u below 1
+			for i := 0; ok && i < n; i++ {
+				ok = near(z.cum[i])
+			}
+			for b := 0; ok && b <= n; b++ {
+				ok = near(float64(b) / float64(n))
+			}
+			r := NewRNG(uint64(n) ^ math.Float64bits(skew))
+			for i := 0; ok && i < random; i++ {
+				ok = check(r.Float64())
+			}
+		}
+	}
+}
+
+// BenchmarkZipfSample times one draw over a footprint of n lines at
+// db-oltp's skew (409 lines is its footprint on 512 lines, 16 Ki on the
+// full-scale device).
+func BenchmarkZipfSample(b *testing.B) {
+	for _, n := range []int{409, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			z := newZipf(n, 0.9)
+			r := NewRNG(1)
+			sink := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += z.Sample(r)
+			}
+			if sink < 0 {
+				b.Fatal("negative index")
+			}
+		})
 	}
 }
 
@@ -281,4 +358,15 @@ func newZipf(n int, s float64) *Zipf {
 	z := new(Zipf)
 	z.Reset(n, s)
 	return z
+}
+
+// zipfProb returns the probability of element i.
+func zipfProb(z *Zipf, i int) float64 {
+	if i < 0 || i >= len(z.cum) {
+		return 0
+	}
+	if i == 0 {
+		return z.cum[0]
+	}
+	return z.cum[i] - z.cum[i-1]
 }

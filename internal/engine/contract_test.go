@@ -166,7 +166,7 @@ func TestUEOnsetOnHandBuiltLine(t *testing.T) {
 			s.stream[a] = pcm.Stream{Next: next, Cells: 1}
 		}
 		s.drift[0] = 0
-		s.due[0] = s.nextDue(0)
+		s.due[0] = 110 // the level-1 stream's crossing
 		for _, tv := range c.visits {
 			s.errorBits(0, tv)
 		}

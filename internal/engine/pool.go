@@ -62,9 +62,9 @@ type samplerKey struct {
 // samplerCache shares pcm.LineSampler instances across runs. A sampler is
 // deterministic in its parameters (its pattern pool is seeded from a
 // fixed constant) and read-only during sampling, so concurrent runs of
-// the same device can share one. Construction costs ~250 KB of
+// the same device can share one. Construction costs ~230 KB of
 // inverse-CDF grids and bucket indexes (three active levels) plus a
-// ~130 KB pattern pool, which campaigns would otherwise pay per run.
+// 32 KB pattern pool, which campaigns would otherwise pay per run.
 var (
 	samplerCache     sync.Map // samplerKey -> *pcm.LineSampler
 	samplerCacheSize atomic.Int64

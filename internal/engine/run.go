@@ -261,6 +261,7 @@ func (s *state) writeLine(i int, t float64) {
 	s.writeTime[i] = t
 	s.onset[i] = t
 	st := s.stream[i*s.nstream : (i+1)*s.nstream]
+	next := math.Inf(1)
 	if s.spec.SLCFraction > 0 && s.rng.Bernoulli(s.spec.SLCFraction) {
 		// Form switch: this write compressed the line into SLC form,
 		// whose band separation puts drift crossings beyond the horizon.
@@ -269,10 +270,10 @@ func (s *state) writeLine(i int, t float64) {
 		}
 	} else {
 		s.headBuf = s.sampler.SampleCrossings(s.rng, s.headBuf)
-		s.sampler.Heads(s.headBuf, st)
+		next = s.sampler.Heads(s.headBuf, st)
 	}
 	s.drift[i] = 0
-	s.due[i] = s.nextDue(i)
+	s.due[i] = t + next
 	dead := wear.DeadCells(s.weakest[i*s.kw:(i+1)*s.kw], uint64(s.writes[i]))
 	// ECP patches the first ECPEntries stuck cells before ECC sees the
 	// line; only the residual erodes the correction margin, and the
@@ -284,15 +285,6 @@ func (s *state) writeLine(i int, t float64) {
 		bits = 255
 	}
 	s.stuckBits[i] = uint8(bits)
-}
-
-// nextDue returns the absolute time of line i's next crossing.
-func (s *state) nextDue(i int) float64 {
-	due := math.Inf(1)
-	for _, st := range s.stream[i*s.nstream : (i+1)*s.nstream] {
-		due = min(due, st.Next)
-	}
-	return s.writeTime[i] + due
 }
 
 // advance brings line i's level streams up to time t and returns its

@@ -17,18 +17,30 @@ const samplerGridPoints = 4096
 // exponential-spacings domain s = −ln(1−p), where the Rényi construction
 // in SampleCrossings produces its order statistics. sGrid holds the CDF
 // over a log-time grid mapped into that domain, tGrid the grid's times,
-// and index buckets [0, smax) so any s is bracketed by two grid points
-// without a search over the whole grid. A draw is an index lookup, a
-// short bisection and a linear interpolation — no transcendental call.
+// and index buckets s by its float64 bits so any s is bracketed by two
+// grid points without a search over the whole grid. A draw is an index
+// lookup, a short bisection and a linear interpolation — no
+// transcendental call.
 type levelSampler struct {
 	sGrid []float64 // sGrid[i] = −ln(1 − P(crossed by x_i)), non-decreasing
 	tGrid []float64 // tGrid[i] = t0·10^(x_i), seconds
-	// index[b] is the first grid point whose bucket is >= b; bucket b
-	// covers s in [b, b+1)/perS.
-	index []int32
-	perS  float64 // buckets per unit of s
-	smax  float64 // sGrid's last value: a spacing sum reaching it never crosses
+	// index[b] is the first grid point whose bucket is >= b (see bucket).
+	index  []uint16
+	loBits uint64  // float64 bits where bucket 0 ends and bucket 1 starts
+	smax   float64 // sGrid's last value: a spacing sum reaching it never crosses
 }
+
+// The index is log-spaced, as the grid is uniform in log-time: bucket
+// b >= 1 holds the s whose float64 bits lie (b−1)·2^bucketShift to
+// b·2^bucketShift above loBits, so an octave of s spans 2^indexBits
+// buckets, each about 0.14% of s wide. Bucket 0 holds every s below
+// loBits, which is at most indexOctaves octaves under smax, so an index
+// holds at most indexOctaves·2^indexBits + 3 entries (64 KB).
+const (
+	indexBits    = 9
+	bucketShift  = 52 - indexBits
+	indexOctaves = 64
+)
 
 // pCap keeps a grid probability that rounds to 1 at a finite s
 // (−ln 2^-53 ≈ 36.7): no spacing sum of realistic size reaches it.
@@ -38,7 +50,6 @@ func newLevelSampler(m *Model, level int) *levelSampler {
 	ls := &levelSampler{
 		sGrid: make([]float64, samplerGridPoints+1),
 		tGrid: make([]float64, samplerGridPoints+1),
-		index: make([]int32, samplerGridPoints+1),
 	}
 	dx := m.p.MaxLog10Time / samplerGridPoints
 	prev := 0.0
@@ -51,31 +62,37 @@ func newLevelSampler(m *Model, level int) *levelSampler {
 		prev = p
 	}
 	ls.smax = ls.sGrid[samplerGridPoints]
-	if ls.smax > 0 {
-		ls.perS = samplerGridPoints / ls.smax
-	}
+	lo := max(ls.sGrid[0], math.Ldexp(ls.smax, -indexOctaves))
+	ls.loBits = math.Float64bits(lo)
+	ls.index = make([]uint16, ls.bucket(ls.smax)+2)
 	i := 0
 	for b := range ls.index {
 		for i <= samplerGridPoints && ls.bucket(ls.sGrid[i]) < b {
 			i++
 		}
-		ls.index[b] = int32(i)
+		ls.index[b] = uint16(i)
 	}
 	return ls
 }
 
-// bucket returns the index bucket holding s. It is monotone in s, which
-// is all the bracketing in timeAt relies on.
+// bucket returns the index bucket holding s >= 0. Float64 bits order
+// like the values for s >= 0, so it is monotone in s, which is all the
+// bracketing in timeAt relies on.
 func (ls *levelSampler) bucket(s float64) int {
-	return min(int(s*ls.perS), samplerGridPoints-1)
+	d := int64(math.Float64bits(s) - ls.loBits)
+	if d < 0 {
+		return 0
+	}
+	return int(d>>bucketShift) + 1
 }
 
 // timeAt maps a spacing sum s < smax to a crossing time in seconds. Grid
 // points in buckets below s's lie below s and those in buckets above lie
-// above it, so s's bucket brackets it between index entries; with one
-// bucket per grid cell the bisection inside takes O(1) expected steps.
-// The time is then interpolated linearly in s across the cell, within
-// which (0.0024 decades) the time curve is within 0.6 % of linear.
+// above it, so s's bucket brackets it between index entries, and the
+// bisection inside settles on the one grid cell holding s, whichever
+// bracket it starts from. The time is then interpolated linearly in s
+// across the cell, within which (0.0024 decades) the time curve is within
+// 0.6 % of linear.
 func (ls *levelSampler) timeAt(s float64) float64 {
 	if s <= ls.sGrid[0] {
 		return ls.tGrid[0]
@@ -124,7 +141,7 @@ type LineSampler struct {
 	// patterns"). Each line write draws one uniformly, so the per-write
 	// marginal distribution of counts is the exact multinomial while the
 	// hot path avoids per-write binomial sampling.
-	pool [][Levels]int
+	pool [][Levels]uint16
 }
 
 // Stream is one active level's crossing stream on a written line.
@@ -154,8 +171,8 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
-	if ncells < 1 {
-		return nil, fmt.Errorf("pcm: ncells must be >= 1, got %d", ncells)
+	if ncells < 1 || ncells > math.MaxUint16 {
+		return nil, fmt.Errorf("pcm: ncells must be in [1, %d], got %d", math.MaxUint16, ncells)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("pcm: k must be >= 1, got %d", k)
@@ -173,7 +190,7 @@ func NewLineSampler(m *Model, mix LevelMix, ncells, k int) (*LineSampler, error)
 	// Presample the data-pattern pool with a seed derived from the model
 	// parameters only, so two samplers over the same physics agree.
 	poolRNG := stats.NewRNG(0x9c0ffee5)
-	s.pool = make([][Levels]int, countPoolSize)
+	s.pool = make([][Levels]uint16, countPoolSize)
 	for i := range s.pool {
 		s.pool[i] = s.sampleCounts(poolRNG)
 	}
@@ -186,8 +203,8 @@ func (s *LineSampler) Streams() int { return len(s.active) }
 
 // sampleCounts draws a multinomial split of the line's cells across levels
 // (the data pattern written this time).
-func (s *LineSampler) sampleCounts(r *stats.RNG) [Levels]int {
-	var counts [Levels]int
+func (s *LineSampler) sampleCounts(r *stats.RNG) [Levels]uint16 {
+	var counts [Levels]uint16
 	remaining := int64(s.ncells)
 	massLeft := 1.0
 	for level := 0; level < Levels-1; level++ {
@@ -199,11 +216,11 @@ func (s *LineSampler) sampleCounts(r *stats.RNG) [Levels]int {
 			p = 1
 		}
 		c := r.Binomial(remaining, p)
-		counts[level] = int(c)
+		counts[level] = uint16(c)
 		remaining -= c
 		massLeft -= s.mix[level]
 	}
-	counts[Levels-1] = int(remaining)
+	counts[Levels-1] = uint16(remaining)
 	return counts
 }
 
@@ -227,12 +244,16 @@ func (s *LineSampler) SampleCrossings(r *stats.RNG, out []float64) []float64 {
 }
 
 // Heads unpacks the stream heads SampleCrossings returned into dst, which
-// holds Streams entries.
-func (s *LineSampler) Heads(heads []float64, dst []Stream) {
+// holds Streams entries, and returns the earliest of their crossing
+// times (+Inf if none).
+func (s *LineSampler) Heads(heads []float64, dst []Stream) float64 {
+	next := math.Inf(1)
 	for a := range dst {
 		h := heads[a*headFloats : (a+1)*headFloats]
 		dst[a] = Stream{Cells: int32(h[0]), Sum: h[1], Next: h[2]}
+		next = min(next, h[2])
 	}
+	return next
 }
 
 // Advance counts stream a's next crossing as passed and draws the one

@@ -16,6 +16,9 @@ func TestNewLineSamplerValidation(t *testing.T) {
 	if _, err := NewLineSampler(m, UniformMix(), 0, 12); err == nil {
 		t.Error("zero cells accepted")
 	}
+	if _, err := NewLineSampler(m, UniformMix(), math.MaxUint16+1, 12); err == nil {
+		t.Error("more cells than a data pattern counts accepted")
+	}
 	if _, err := NewLineSampler(m, UniformMix(), 256, 0); err == nil {
 		t.Error("zero k accepted")
 	}
@@ -254,6 +257,81 @@ func TestSamplerReusesBuffer(t *testing.T) {
 	got := s.SampleCrossings(r, buf)
 	if cap(got) != cap(buf) && len(got) <= 12 && cap(buf) >= len(got) {
 		t.Error("sampler did not reuse provided buffer")
+	}
+}
+
+// timeAtBySearch is timeAt with a bisection over the whole grid in place
+// of the bucket index: the cell holding s, interpolated the same way.
+func timeAtBySearch(ls *levelSampler, s float64) float64 {
+	if s <= ls.sGrid[0] {
+		return ls.tGrid[0]
+	}
+	lo, hi := 0, samplerGridPoints
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if ls.sGrid[mid] < s {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	sl, sh := ls.sGrid[lo], ls.sGrid[hi]
+	tl := ls.tGrid[lo]
+	return tl + (s-sl)/(sh-sl)*(ls.tGrid[hi]-tl)
+}
+
+// TestTimeAtMatchesFullGridSearch holds the indexed inversion to a
+// bisection over the whole grid bit for bit, so the index changes no
+// crossing time. It checks every grid node with its one-ulp neighbours
+// and 10⁶ random sums per active level, half uniform over [0, smax) and
+// half log-uniform over the 70 octaves below smax, on the default device,
+// a device whose first grid value underflows to 0 (every sum far below
+// smax shares the index's bottom bucket) and one whose level 2 crosses
+// with certainty (a grid top near 36.7).
+func TestTimeAtMatchesFullGridSearch(t *testing.T) {
+	const random = 1000000
+	def := DefaultParams()
+	tight := DefaultParams()
+	tight.SigmaProg = 0.01
+	certain := DefaultParams()
+	certain.NuMean[2], certain.NuSigma[2] = 0.5, 0.05
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{{"default", def}, {"zero first value", tight}, {"certain level 2", certain}} {
+		s, err := NewLineSampler(MustModel(c.p), UniformMix(), CellsPerLine, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range s.active {
+			ls := s.levels[level]
+			if len(ls.index) > indexOctaves<<indexBits+3 {
+				t.Errorf("%s level %d: index has %d entries, over its bound", c.name, level, len(ls.index))
+			}
+			check := func(sum float64) bool {
+				if !(sum >= 0 && sum <= ls.smax) {
+					return true // outside timeAt's domain
+				}
+				got, want := ls.timeAt(sum), timeAtBySearch(ls, sum)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s level %d: s=%.17g maps to %.17g, full search %.17g", c.name, level, sum, got, want)
+					return false
+				}
+				return true
+			}
+			ok := true
+			for i := 0; ok && i <= samplerGridPoints; i++ {
+				sum := ls.sGrid[i]
+				ok = check(math.Nextafter(sum, -1)) && check(sum) && check(math.Nextafter(sum, math.Inf(1)))
+			}
+			r := stats.NewRNG(uint64(17*level + 1))
+			for i := 0; ok && i < random/2; i++ {
+				ok = check(r.Float64()*ls.smax) && check(math.Ldexp(ls.smax, -int(r.Intn(70)))*(1-r.Float64()))
+			}
+			if c.name == "zero first value" && ok && ls.sGrid[0] != 0 {
+				t.Errorf("test premise: level %d's first grid value is %g, want 0", level, ls.sGrid[0])
+			}
+		}
 	}
 }
 

@@ -53,18 +53,19 @@ loc:
 # engine benchmark, the per-layer physics sampler benchmarks it is made
 # of (crossing times, at the engine benchmark's own K and standalone,
 # and the exponential spacings under them; weakest endurances and the
-# normal quantile under the latter) and the per-codec decode benchmarks
-# with -benchmem, and render them as BENCH_engine.json via
-# cmd/benchjson. Each benchmark runs five times and is reported by its
-# median run. The reconcile block sets crossing sampling and endurance
-# draws against an engine run. BEFORE=old.json (a report made the same
-# way on an earlier commit) adds each benchmark's before and after
-# ns/op.
+# normal quantile under the latter), the demand generator (one epoch's
+# writes and the Zipf draw under it), one replica of the db-oltp
+# campaign and the per-codec decode benchmarks with -benchmem, and
+# render them as BENCH_engine.json via cmd/benchjson. Each benchmark
+# runs five times and is reported by its median run. The reconcile
+# block sets crossing sampling and endurance draws against an engine
+# run. BEFORE=old.json (a report made the same way on an earlier
+# commit) adds each benchmark's before and after ns/op.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
+		-bench 'BenchmarkEngineRun|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkZipfSample|BenchmarkWritesInEpoch|BenchmarkRunShard|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
 		-benchmem -benchtime 1s -count 5 \
-		./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/ecc ./internal/ondie | tee /dev/stderr | \
+		./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/trace ./internal/core ./internal/ecc ./internal/ondie | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson $(if $(BEFORE),-before $(BEFORE)) > BENCH_engine.json
 	@echo "bench: wrote BENCH_engine.json"
 

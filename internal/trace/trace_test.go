@@ -275,3 +275,26 @@ func TestResetMatchesNewGenerator(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWritesInEpoch times one epoch's demand writes for db-oltp on
+// 512 lines (a 409-line footprint): a Poisson count, then one Zipf draw
+// and permutation lookup per write. A 60 s epoch holds about 74 writes.
+func BenchmarkWritesInEpoch(b *testing.B) {
+	w, err := ByName("db-oltp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenerator(w, 512, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := stats.NewRNG(2)
+	var buf []int
+	const dt = 60.0
+	t := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = g.WritesInEpoch(r, t, dt, buf)
+		t += dt
+	}
+}

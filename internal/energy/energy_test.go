@@ -31,40 +31,31 @@ func TestValidateRejectsNegativeAndZeroWrite(t *testing.T) {
 func TestAccountantCharges(t *testing.T) {
 	p := DefaultParams()
 	a := MustAccountant(p)
-	var l Ledger
-	a.LineRead(&l, 576)
-	wantRead := 576 * (p.ArrayReadPJPerBit + p.BufferPJPerBit)
-	if math.Abs(l.ReadPJ-wantRead) > 1e-9 {
-		t.Errorf("read charge %g, want %g", l.ReadPJ, wantRead)
+	cases := []struct {
+		name      string
+		got, want float64
+	}{
+		{"read", a.ReadCost(576), 576 * (p.ArrayReadPJPerBit + p.BufferPJPerBit)},
+		{"write", a.WriteCost(576), 576 * (p.ArrayWritePJPerBit + p.BufferPJPerBit)},
+		{"secded", a.SECDEDDecodeCost(8), 8 * p.SECDEDDecodePJ},
+		{"bch", a.BCHDecodeCost(4), 4 * p.BCHDecodePJPerT},
+		{"crc", a.CRCCost(), p.CRCCheckPJ},
 	}
-	a.LineWrite(&l, 576)
-	wantWrite := 576 * (p.ArrayWritePJPerBit + p.BufferPJPerBit)
-	if math.Abs(l.WritePJ-wantWrite) > 1e-9 {
-		t.Errorf("write charge %g, want %g", l.WritePJ, wantWrite)
+	for _, c := range cases {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s cost %g, want %g", c.name, c.got, c.want)
+		}
 	}
-	a.SECDEDDecode(&l, 8)
-	if math.Abs(l.DecodePJ-8*p.SECDEDDecodePJ) > 1e-9 {
-		t.Errorf("secded charge %g", l.DecodePJ)
-	}
-	a.BCHDecode(&l, 4)
-	if math.Abs(l.DecodePJ-(8*p.SECDEDDecodePJ+4*p.BCHDecodePJPerT)) > 1e-9 {
-		t.Errorf("bch charge %g", l.DecodePJ)
-	}
-	a.CRCCheck(&l)
-	if math.Abs(l.DetectPJ-p.CRCCheckPJ) > 1e-9 {
-		t.Errorf("crc charge %g", l.DetectPJ)
-	}
-	total := l.ReadPJ + l.DecodePJ + l.DetectPJ + l.WritePJ
-	if math.Abs(l.Total()-total) > 1e-9 {
-		t.Errorf("total %g != sum %g", l.Total(), total)
+	l := Ledger{ReadPJ: 1, DecodePJ: 2, DetectPJ: 4, WritePJ: 8}
+	if l.Total() != 15 {
+		t.Errorf("total %g, want 15", l.Total())
 	}
 }
 
 func TestLedgerAddAndScale(t *testing.T) {
 	a := MustAccountant(DefaultParams())
-	var l1, l2 Ledger
-	a.LineRead(&l1, 100)
-	a.LineWrite(&l2, 100)
+	l1 := Ledger{ReadPJ: a.ReadCost(100)}
+	l2 := Ledger{WritePJ: a.WriteCost(100)}
 	l1.Add(l2)
 	if l1.WritePJ != l2.WritePJ {
 		t.Error("Add did not fold write energy")
@@ -81,12 +72,10 @@ func TestWriteDominatesScrubWriteback(t *testing.T) {
 	// the read + full BCH-8 decode that preceded it — the physical fact
 	// that makes "avoid needless write-backs" the paper's big lever.
 	a := MustAccountant(DefaultParams())
-	var read, write Ledger
-	a.LineRead(&read, 592)
-	a.BCHDecode(&read, 8)
-	a.LineWrite(&write, 592)
-	if write.Total() <= read.Total() {
-		t.Errorf("write-back (%g pJ) should dominate read+decode (%g pJ)", write.Total(), read.Total())
+	read := a.ReadCost(592) + a.BCHDecodeCost(8)
+	write := a.WriteCost(592)
+	if write <= read {
+		t.Errorf("write-back (%g pJ) should dominate read+decode (%g pJ)", write, read)
 	}
 }
 

@@ -169,7 +169,7 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 	}
 	s := d.s
 	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
-	rs := scrub.RoundStats{Capability: s.scheme.T()}
+	rs := scrub.RoundStats{Capability: s.capability}
 	for j := 0; j < n; j++ {
 		slot := int(s.visitOrder[d.cursor])
 		d.cursor++
@@ -182,7 +182,10 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 		if s.lev != nil && slot == s.lev.Gap() {
 			continue
 		}
-		d.visitObserved(s.patrolTarget(slot), tv, &rs, &rep)
+		if s.prof != nil {
+			slot = s.patrolTarget(slot)
+		}
+		d.visitObserved(slot, tv, &rs, &rep)
 	}
 	d.t += dt
 	// A completed patrol pass is the device analogue of a sweep: it is
@@ -207,7 +210,7 @@ func (d *Device) ScrubRange(first, count int, dt float64, obs []LineObservation)
 	}
 	s := d.s
 	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
-	rs := scrub.RoundStats{Capability: s.scheme.T()}
+	rs := scrub.RoundStats{Capability: s.capability}
 	for j := 0; j < count; j++ {
 		slot := s.mapSlot(first + j)
 		if s.lev != nil && slot == s.lev.Gap() {
@@ -227,10 +230,9 @@ func (d *Device) SetPolicy(p scrub.Policy) error {
 	if p == nil {
 		return fmt.Errorf("engine: nil policy")
 	}
-	d.s.policy = p
-	// hasCRC tracks the detection mode: light detection stores a CRC with
-	// the line, which codewordBits charges on every rewrite.
-	d.s.hasCRC = p.Detection() == scrub.LightDetect
+	// The detection mode decides the visit path and, through the CRC a
+	// codeword stores, the cost of every later write.
+	d.s.setPolicy(p)
 	// Profiling state follows the policy: switching to a Profiler arms
 	// (or re-arms, if the schedule changed) the at-risk machinery;
 	// switching away drops it along with its accumulated set.
@@ -262,7 +264,7 @@ func (d *Device) RepairLine(line int) error {
 	copy(s.weakest[slot*s.kw:(slot+1)*s.kw], s.weakBuf)
 	s.writes[slot] = 0
 	s.writeLine(slot, d.t)
-	s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
+	s.res.ScrubEnergy.WritePJ += s.cost.write
 	s.res.RepairWrites++
 	return nil
 }

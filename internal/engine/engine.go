@@ -10,8 +10,8 @@
 // RunContext(ctx, ResolveSpec(sys, mech, workload, opts)), executed with:
 //
 //   - process-wide run totals (see Stats) surfaced on scrubd's /metrics;
-//   - bounded-latency cancellation: ctx is polled every visitStride scrub
-//     visits, so a cancelled run returns in O(stride) visits rather than
+//   - bounded-latency cancellation: ctx is polled every visitStride patrol
+//     positions, so a cancelled run returns in O(stride) visits rather than
 //     at the next substep boundary;
 //   - an allocation-lean hot path: per-run scratch (line state, crossing
 //     streams, patrol order, the demand generator) is recycled through a
@@ -31,7 +31,7 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // RunContext executes the spec under a context. Cancellation is polled
-// every visitStride scrub visits and at every substep boundary, so a
+// every visitStride patrol positions and at every substep boundary, so a
 // cancelled run returns promptly with an error wrapping ctx.Err(). No
 // partial result is returned.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {

@@ -110,7 +110,7 @@ func (s *state) profileRound(t float64) {
 	p.rounds++
 	p.reads += int64(p.cfg.Passes) * int64(s.slots)
 	// Charge the profiling reads: Passes data-word reads per line.
-	s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits*p.cfg.Passes*s.slots)
+	s.res.ScrubEnergy.ReadPJ += s.acct.ReadCost(s.dataBits * p.cfg.Passes * s.slots)
 
 	p.riskBuf = p.riskBuf[:0]
 	for i := 0; i < s.slots; i++ {

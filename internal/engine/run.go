@@ -20,14 +20,26 @@ import (
 )
 
 // visitStride bounds cancellation latency inside a substep: ctx.Err() is
-// polled every visitStride scrub visits, so a cancelled run stops within
-// O(visitStride) visits even when a single substep covers millions of
-// lines.
+// polled at every visitStride-th patrol position, so a cancelled run
+// stops within O(visitStride) visits even when a single substep covers
+// millions of lines.
 const visitStride = 256
 
-// secdedLike lets the engine charge per-word decode cost for
-// word-organised codes without depending on the concrete type.
+// secdedLike lets the engine price per-word decode for word-organised
+// codes without depending on the concrete type.
 type secdedLike interface{ Words() int }
+
+// costs holds the exact energy each ledger charge of a visit or a line
+// write adds, resolved once per run from the accountant (resolveCosts)
+// so the hot path adds a constant instead of recomputing a product.
+type costs struct {
+	fullRead  float64 // data and check bits, read by a full decode
+	probeRead float64 // data and CRC bits, read by a light probe
+	checkRead float64 // check bits, fetched once a probe fires
+	decode    float64 // one full decode of the line
+	crc       float64 // one CRC recompute-and-compare
+	write     float64 // one codeword, CRC and ECP pointers included
+}
 
 // state is the mutable simulation state. Run instances are recycled
 // through statePool (see pool.go); a Device keeps its instance for life.
@@ -42,6 +54,12 @@ type state struct {
 	source  TrafficSource
 	scheme  ecc.Scheme
 	policy  scrub.Policy
+
+	// capability is scheme.T(); hasCRC is whether the policy's detection
+	// is the light probe, read when the policy is installed (setPolicy).
+	capability int
+	hasCRC     bool
+	cost       costs
 
 	lines   int // logical lines
 	slots   int // physical slots (lines, or lines+1 with leveling)
@@ -81,7 +99,11 @@ type state struct {
 	visitOrder []int32
 
 	dataBits, checkBits int
-	hasCRC              bool
+
+	// offsets[pos] is patrol position pos's visit-time offset into a
+	// sweep of duration offsetDur (see visitOffsets).
+	offsets   []float64
+	offsetDur float64
 
 	res Result
 
@@ -146,7 +168,7 @@ func newState(spec Spec) (*state, error) {
 	s.acct = acct
 	s.source = source
 	s.scheme = spec.Scheme
-	s.policy = spec.Policy
+	s.capability = spec.Scheme.T()
 	s.lines = lines
 	s.slots = slots
 	s.nstream = sampler.Streams()
@@ -165,7 +187,7 @@ func newState(spec Spec) (*state, error) {
 
 	s.dataBits = spec.Scheme.DataBits()
 	s.checkBits = spec.Scheme.CheckBits()
-	s.hasCRC = spec.Policy.Detection() == scrub.LightDetect
+	s.setPolicy(spec.Policy)
 
 	// Patrol order over physical slots, fixed for the run. With leveling
 	// the spare slot is appended to the walk (and the live gap is skipped
@@ -233,24 +255,44 @@ func newState(spec Spec) (*state, error) {
 	return s, nil
 }
 
-// codewordBits returns the bits occupied by one encoded line, including
-// the CRC when light detection is configured.
-func (s *state) codewordBits() int {
-	bits := s.dataBits + s.checkBits
+// setPolicy installs the scrub policy and resolves what depends on it:
+// its detection mode, and with it the CRC a codeword stores.
+func (s *state) setPolicy(p scrub.Policy) {
+	s.policy = p
+	s.hasCRC = p.Detection() == scrub.LightDetect
+	s.resolveCosts()
+}
+
+// resolveCosts fills the cost table from the accountant, the scheme and
+// the detection mode.
+func (s *state) resolveCosts() {
+	a := s.acct
+	// A written codeword carries the check bits, the CRC under light
+	// detection, and the ECP pointer table, whose bits are rewritten
+	// alongside the data.
+	written := s.dataBits + s.checkBits
 	if s.hasCRC {
-		bits += crcBits
+		written += crcBits
 	}
 	if s.spec.ECPEntries > 0 {
-		// The pointer table travels with the line: its bits are read and
-		// rewritten alongside the data.
 		p := ecp.Params{
 			Entries:      s.spec.ECPEntries,
 			CellsPerLine: pcm.CellsPerLine,
 			BitsPerCell:  pcm.BitsPerCell,
 		}
-		bits += p.OverheadBits()
+		written += p.OverheadBits()
 	}
-	return bits
+	s.cost = costs{
+		fullRead:  a.ReadCost(s.dataBits + s.checkBits),
+		probeRead: a.ReadCost(s.dataBits + crcBits),
+		checkRead: a.ReadCost(s.checkBits),
+		decode:    a.BCHDecodeCost(s.capability),
+		crc:       a.CRCCost(),
+		write:     a.WriteCost(written),
+	}
+	if ws, ok := s.scheme.(secdedLike); ok {
+		s.cost.decode = a.SECDEDDecodeCost(ws.Words())
+	}
 }
 
 // writeLine reprograms a line at absolute time t: resets its drift clock,
@@ -287,21 +329,17 @@ func (s *state) writeLine(i int, t float64) {
 	s.stuckBits[i] = uint8(bits)
 }
 
-// advance brings line i's level streams up to time t and returns its
-// drift error count. It passes the crossings at or before t in time
-// order, drawing each level's next crossing as one passes, and records
-// onset for every crossing up to the line's failure depth: the
-// (capability+1−stuck)-th crossing, at least the first, is where its
-// error pattern stops being correctable. A visit before the line's next
-// crossing reads only its count.
-func (s *state) advance(i int, t float64) int {
-	if t < s.due[i] {
-		return int(s.drift[i])
-	}
+// advance brings line i's level streams and drift count up to time t,
+// at or after the line's next crossing. It passes the crossings at or
+// before t in time order, drawing each level's next crossing as one
+// passes, and records onset for every crossing up to the line's failure
+// depth: the (capability+1−stuck)-th crossing, at least the first, is
+// where its error pattern stops being correctable.
+func (s *state) advance(i int, t float64) {
 	st := s.stream[i*s.nstream : (i+1)*s.nstream]
 	wt := s.writeTime[i]
 	drift := int(s.drift[i])
-	depth := max(s.scheme.T()+1-int(s.stuckBits[i]), 1)
+	depth := max(s.capability+1-int(s.stuckBits[i]), 1)
 	for {
 		next := 0
 		for a := range st {
@@ -312,7 +350,7 @@ func (s *state) advance(i int, t float64) int {
 		if due := wt + st[next].Next; due > t {
 			s.drift[i] = uint8(drift)
 			s.due[i] = due
-			return drift
+			return
 		}
 		drift++
 		if drift <= depth {
@@ -323,9 +361,12 @@ func (s *state) advance(i int, t float64) int {
 }
 
 // errorBits returns the bit-error count a check at time t observes on
-// line i.
+// line i. A check before the line's next crossing reads only its count.
 func (s *state) errorBits(i int, t float64) int {
-	return s.advance(i, t) + int(s.stuckBits[i])
+	if t >= s.due[i] {
+		s.advance(i, t)
+	}
+	return int(s.drift[i]) + int(s.stuckBits[i])
 }
 
 // attributeDetection estimates, for a UE found by this scrub visit, how
@@ -367,7 +408,7 @@ func (s *state) recordArrayWrite(t float64) {
 	s.moveBuf = s.lev.RecordWrites(1, s.moveBuf)
 	for _, mv := range s.moveBuf {
 		s.writeLine(mv.To, t)
-		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
+		s.res.DemandEnergy.WritePJ += s.cost.write
 		s.res.LevelerMoves++
 	}
 }
@@ -379,7 +420,7 @@ func (s *state) applyDemand(t0, dt float64) int {
 	for _, line := range s.eventBuf {
 		tw := t0 + s.rng.Float64()*dt
 		s.writeLine(s.mapSlot(line), tw)
-		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
+		s.res.DemandEnergy.WritePJ += s.cost.write
 		s.res.DemandWrites++
 		s.recordArrayWrite(tw)
 	}
@@ -387,26 +428,16 @@ func (s *state) applyDemand(t0, dt float64) int {
 }
 
 // patrolTarget returns the slot a patrol visit aimed at slot actually
-// scrubs. Under active profiling every period-th visit is re-aimed at an
-// at-risk line instead of the uniform patrol target; the visit count is
-// unchanged, so biased scheduling spends the same scrub bandwidth.
+// scrubs under active profiling (callers check s.prof first): every
+// period-th visit is re-aimed at an at-risk line instead of the uniform
+// patrol target; the visit count is unchanged, so biased scheduling
+// spends the same scrub bandwidth.
 func (s *state) patrolTarget(slot int) int {
-	if s.prof != nil {
-		if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
-			s.prof.redirected++
-			return r
-		}
+	if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
+		s.prof.redirected++
+		return r
 	}
 	return slot
-}
-
-// chargeDecode charges the scheme's full decode cost to the ledger.
-func (s *state) chargeDecode(l *energy.Ledger) {
-	if ws, ok := s.scheme.(secdedLike); ok {
-		s.acct.SECDEDDecode(l, ws.Words())
-	} else {
-		s.acct.BCHDecode(l, s.scheme.T())
-	}
 }
 
 // visit performs one scrub visit of line i at time t.
@@ -435,11 +466,11 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		observed += s.inj.ReadFlip()
 	}
 
-	switch s.policy.Detection() {
-	case scrub.LightDetect:
+	e := &s.res.ScrubEnergy
+	if s.hasCRC {
 		// Read data + CRC and run the cheap probe.
-		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+crcBits)
-		s.acct.CRCCheck(&s.res.ScrubEnergy)
+		e.ReadPJ += s.cost.probeRead
+		e.DetectPJ += s.cost.crc
 		s.res.ScrubProbes++
 		if observed == 0 {
 			return
@@ -451,14 +482,12 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 			return // injected detector fault: erroneous line reads clean
 		}
 		// Probe fired: fetch the check bits and decode for the count.
-		s.acct.LineRead(&s.res.ScrubEnergy, s.checkBits)
-		s.chargeDecode(&s.res.ScrubEnergy)
-		s.res.ScrubDecodes++
-	default: // FullDecode
-		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+s.checkBits)
-		s.chargeDecode(&s.res.ScrubEnergy)
-		s.res.ScrubDecodes++
+		e.ReadPJ += s.cost.checkRead
+	} else {
+		e.ReadPJ += s.cost.fullRead
 	}
+	e.DecodePJ += s.cost.decode
+	s.res.ScrubDecodes++
 
 	// Stuck ECC check bits corrupt the syndromes the decoder works
 	// against, eroding the line's effective correction margin.
@@ -475,7 +504,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if observed > rs.MaxErrBits {
 		rs.MaxErrBits = observed
 	}
-	capability := s.scheme.T()
+	capability := s.capability
 	if observed > 0 && observed >= capability-1 {
 		rs.LinesNearMargin++
 	}
@@ -490,7 +519,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		}
 		s.attributeDetection(i, t)
 		s.writeLine(i, t)
-		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
+		e.WritePJ += s.cost.write
 		s.res.RepairWrites++
 		s.recordArrayWrite(t)
 		return
@@ -502,20 +531,72 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if s.policy.ShouldWriteBack(info) {
 		s.res.CorrectedBits += int64(errBits)
 		s.writeLine(i, t)
-		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
+		e.WritePJ += s.cost.write
 		s.res.ScrubWriteBacks++
 		rs.WriteBacks++
 		s.recordArrayWrite(t)
 	}
 }
 
+// visitOffsets returns each patrol position's visit-time offset into a
+// sweep of duration dur, dur*pos/slots, rebuilding the pooled table only
+// when dur or the slot count differs from the one it was built for: once
+// per run at a fixed interval, once per changed interval otherwise.
+func (s *state) visitOffsets(dur float64) []float64 {
+	if len(s.offsets) == s.slots && s.offsetDur == dur {
+		return s.offsets
+	}
+	s.offsets = grow(s.offsets, s.slots)
+	for pos := range s.offsets {
+		s.offsets[pos] = dur * float64(pos) / float64(s.slots)
+	}
+	s.offsetDur = dur
+	return s.offsets
+}
+
+// sweep performs one patrol sweep starting at t and lasting dur, folding
+// its visits into rs. Each substep lands its demand writes, then visits
+// its slice of the patrol order, up to cutoff: positions past it are
+// never visited. With leveling enabled the slot currently serving as the
+// gap holds stale data and is skipped.
+func (s *state) sweep(ctx context.Context, t, dur float64, cutoff int, rs *scrub.RoundStats) error {
+	offsets := s.visitOffsets(dur)
+	dt := dur / float64(s.spec.Substeps)
+	perStep := (s.slots + s.spec.Substeps - 1) / s.spec.Substeps
+	for step := 0; step < s.spec.Substeps; step++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
+		}
+		t0 := t + float64(step)*dt
+		// Demand writes land before this substep's visits.
+		s.applyDemand(t0, dt)
+		lo := step * perStep
+		hi := min(lo+perStep, s.slots, cutoff)
+		for pos := lo; pos < hi; pos++ {
+			if pos%visitStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
+				}
+			}
+			slot := int(s.visitOrder[pos])
+			if s.lev != nil && slot == s.lev.Gap() {
+				continue
+			}
+			if s.prof != nil {
+				slot = s.patrolTarget(slot)
+			}
+			s.visit(slot, t+offsets[pos], rs)
+		}
+	}
+	return nil
+}
+
 // run executes sweeps until the horizon. Cancellation is checked every
-// substep and every visitStride visits within a substep, so the method
-// returns within O(visitStride) visits of ctx ending.
+// substep and every visitStride patrol positions within a substep, so
+// the method returns within O(visitStride) visits of ctx ending.
 func (s *state) run(ctx context.Context) error {
 	t := 0.0
 	interval := s.spec.Interval
-	sinceCheck := 0
 	for t+interval <= s.spec.Horizon+1e-9 {
 		// Injected controller faults: a stall stretches this sweep's
 		// duration (drift accumulates longer between visits), and an
@@ -529,41 +610,9 @@ func (s *state) run(ctx context.Context) error {
 			}
 			cutoff = s.inj.SweepCutoff(s.slots)
 		}
-		rs := scrub.RoundStats{Capability: s.scheme.T()}
-		dt := sweepDur / float64(s.spec.Substeps)
-		perStep := (s.slots + s.spec.Substeps - 1) / s.spec.Substeps
-		for step := 0; step < s.spec.Substeps; step++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
-			}
-			t0 := t + float64(step)*dt
-			// Demand writes land before this substep's visits.
-			s.applyDemand(t0, dt)
-			// Scrub visits for this slice of the patrol order. With
-			// leveling enabled the slot currently serving as the gap
-			// holds stale data and is skipped.
-			lo := step * perStep
-			hi := lo + perStep
-			if hi > s.slots {
-				hi = s.slots
-			}
-			if hi > cutoff {
-				hi = cutoff // sweep interrupted: suffix never visited
-			}
-			for pos := lo; pos < hi; pos++ {
-				if sinceCheck++; sinceCheck >= visitStride {
-					sinceCheck = 0
-					if err := ctx.Err(); err != nil {
-						return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
-					}
-				}
-				slot := int(s.visitOrder[pos])
-				if s.lev != nil && slot == s.lev.Gap() {
-					continue
-				}
-				tv := t + sweepDur*float64(pos)/float64(s.slots)
-				s.visit(s.patrolTarget(slot), tv, &rs)
-			}
+		rs := scrub.RoundStats{Capability: s.capability}
+		if err := s.sweep(ctx, t, sweepDur, cutoff, &rs); err != nil {
+			return err
 		}
 		t += sweepDur
 		s.res.Sweeps++

@@ -78,7 +78,10 @@ type RoundStats struct {
 type Policy interface {
 	// Name labels the policy in reports.
 	Name() string
-	// Detection returns the visit's error-check mechanism.
+	// Detection returns the visit's error-check mechanism. The engine
+	// reads it once, when the policy is installed (at run start, or by
+	// Device.SetPolicy), and resolves the visit path and per-visit costs
+	// from it; the answer must not change while the policy is in use.
 	Detection() Detection
 	// ShouldWriteBack decides whether a correctable line is rewritten.
 	// It is consulted for every line the visit actually decoded (with a

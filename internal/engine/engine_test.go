@@ -256,6 +256,76 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ReportMetric(float64(draws)/float64(b.N), "weakest/op")
 }
 
+// sweepSpec is the basic rung of the campaign-cold workload: idle-archive
+// on 512 lines under SECDED, full decode, write back on any error, at the
+// interval the mechanism ladder derives for SECDED from the default
+// physics and risk target.
+func sweepSpec(b *testing.B) Spec {
+	w, err := trace.ByName("idle-archive")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := testSpec()
+	spec.Geometry = mem.Geometry{
+		Channels: 1, RanksPerChan: 1, BanksPerRank: 8,
+		RowsPerBank: 2, LinesPerRow: 32, LineBytes: 64,
+	} // 512 lines
+	spec.Substeps = 16
+	spec.Seed = 1
+	spec.Scheme = ecc.NewSECDEDLine()
+	spec.Policy = scrub.Basic()
+	spec.Interval = pcm.MustModel(spec.PCM).ScrubIntervalFor(spec.Mix, pcm.CellsPerLine, 1, 1e-4)
+	spec.Horizon = 172800
+	spec.Workload = w
+	return spec
+}
+
+// BenchmarkSweep times one steady-state patrol sweep of sweepSpec's
+// device: the substeps' demand writes and one visit per line. Each
+// iteration continues the same device one interval later, after a
+// day of warm-up sweeps; ns/visit is the per-visit cost.
+func BenchmarkSweep(b *testing.B) {
+	spec := sweepSpec(b)
+	s, err := newState(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.release()
+	ctx := context.Background()
+	t := 0.0
+	sweep := func() {
+		rs := scrub.RoundStats{Capability: s.capability}
+		if err := s.sweep(ctx, t, spec.Interval, s.slots, &rs); err != nil {
+			b.Fatal(err)
+		}
+		t += spec.Interval
+	}
+	for t < 86400 {
+		sweep()
+	}
+	visits := s.res.ScrubVisits
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.res.ScrubVisits-visits), "ns/visit")
+}
+
+// BenchmarkNewState times a run's set-up for sweepSpec: pooled state,
+// cached sampler, demand generator, patrol order, endurance draws and
+// the initial write of every line.
+func BenchmarkNewState(b *testing.B) {
+	spec := sweepSpec(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := newState(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.release()
+	}
+}
+
 // BenchmarkEngineCrossings times one SampleCrossings call with the
 // sampler and K that BenchmarkEngineRun's runs use, the per-call cost
 // make bench reconciles against a run.

@@ -21,12 +21,9 @@ import (
 func BenchmarkF13Leveling(b *testing.B) {
 	sys := benchSystem()
 	var hotBare, hotLev float64
+	m := ladder(b, sys)["combined"]
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		m, err := core.SuiteMechanism(sys, "combined")
-		if err != nil {
-			b.Fatal(err)
-		}
 		w := benchWorkload("kv-store", b)
 		bare, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {
@@ -90,11 +87,8 @@ func BenchmarkF14CellErrors(b *testing.B) {
 func BenchmarkF15Replication(b *testing.B) {
 	sys := benchSystem()
 	var stderrPct float64
+	m := ladder(b, sys)["combined"]
 	for i := 0; i < b.N; i++ {
-		m, err := core.SuiteMechanism(sys, "combined")
-		if err != nil {
-			b.Fatal(err)
-		}
 		rep, err := core.RunReplicatedContext(context.Background(), sys, m, benchWorkload("idle-archive", b), 3)
 		if err != nil {
 			b.Fatal(err)
@@ -127,12 +121,9 @@ func BenchmarkF16Precision(b *testing.B) {
 func BenchmarkF17SLC(b *testing.B) {
 	sys := benchSystem()
 	var writesMLC, writesSLC float64
+	m := ladder(b, sys)["threshold"]
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		m, err := core.SuiteMechanism(sys, "threshold")
-		if err != nil {
-			b.Fatal(err)
-		}
 		w := benchWorkload("idle-archive", b)
 		mlc, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {
@@ -153,12 +144,9 @@ func BenchmarkF17SLC(b *testing.B) {
 func BenchmarkF18DetectionRace(b *testing.B) {
 	sys := benchSystem()
 	var readFirstPct float64
+	m := ladder(b, sys)["basic"]
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		m, err := core.SuiteMechanism(sys, "basic")
-		if err != nil {
-			b.Fatal(err)
-		}
 		res, err := engine.Run(engine.ResolveSpec(sys, m, benchWorkload("web-serve", b), engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
@@ -195,12 +183,9 @@ func BenchmarkF20ECP(b *testing.B) {
 	sys := benchSystem()
 	sys.InitialLineWrites = 30_000_000
 	var uesBare, uesECP float64
+	m := ladder(b, sys)["threshold"]
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		m, err := core.SuiteMechanism(sys, "threshold")
-		if err != nil {
-			b.Fatal(err)
-		}
 		w := benchWorkload("idle-archive", b)
 		bare, err := engine.Run(engine.ResolveSpec(sys, m, w, engine.Options{}))
 		if err != nil {

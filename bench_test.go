@@ -44,11 +44,22 @@ func benchWorkload(name string, b *testing.B) trace.Workload {
 	return w
 }
 
-func runMech(b *testing.B, sys core.System, mechName, workload string) *simResult {
-	m, err := core.SuiteMechanism(sys, mechName)
+// ladder resolves the mechanism suite by name. A benchmark resolves it
+// once, before its loop: the ladder depends on the system's physics, mix,
+// risk target and horizon, not on the seed each iteration varies.
+func ladder(b *testing.B, sys core.System) map[string]core.Mechanism {
+	ms, err := core.Suite(sys)
 	if err != nil {
 		b.Fatal(err)
 	}
+	byName := make(map[string]core.Mechanism, len(ms))
+	for _, m := range ms {
+		byName[m.Name] = m
+	}
+	return byName
+}
+
+func runMech(b *testing.B, sys core.System, m core.Mechanism, workload string) *simResult {
 	r, err := engine.Run(engine.ResolveSpec(sys, m, benchWorkload(workload, b), engine.Options{}))
 	if err != nil {
 		b.Fatal(err)
@@ -113,11 +124,12 @@ func BenchmarkF2ECCInterval(b *testing.B) {
 // combined on a cold workload, reporting the reduction factor.
 func BenchmarkF3ScrubWrites(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	var factor float64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		basic := runMech(b, sys, "basic", "idle-archive")
-		comb := runMech(b, sys, "combined", "idle-archive")
+		basic := runMech(b, sys, mech["basic"], "idle-archive")
+		comb := runMech(b, sys, mech["combined"], "idle-archive")
 		if comb.writes > 0 {
 			factor = float64(basic.writes) / float64(comb.writes)
 		}
@@ -128,11 +140,12 @@ func BenchmarkF3ScrubWrites(b *testing.B) {
 // BenchmarkF4UncorrectableErrors regenerates the UE comparison.
 func BenchmarkF4UncorrectableErrors(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	var basicUEs, combUEs float64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		basic := runMech(b, sys, "basic", "idle-archive")
-		comb := runMech(b, sys, "combined", "idle-archive")
+		basic := runMech(b, sys, mech["basic"], "idle-archive")
+		comb := runMech(b, sys, mech["combined"], "idle-archive")
 		basicUEs = float64(basic.ues)
 		combUEs = float64(comb.ues)
 	}
@@ -146,11 +159,12 @@ func BenchmarkF4UncorrectableErrors(b *testing.B) {
 // BenchmarkF5ScrubEnergy regenerates the scrub-energy comparison.
 func BenchmarkF5ScrubEnergy(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	var reduction float64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		basic := runMech(b, sys, "basic", "idle-archive")
-		comb := runMech(b, sys, "combined", "idle-archive")
+		basic := runMech(b, sys, mech["basic"], "idle-archive")
+		comb := runMech(b, sys, mech["combined"], "idle-archive")
 		if basic.energy > 0 {
 			reduction = 100 * (1 - comb.energy/basic.energy)
 		}
@@ -162,23 +176,16 @@ func BenchmarkF5ScrubEnergy(b *testing.B) {
 // energy with and without the light probe at identical interval/scheme.
 func BenchmarkF6LightDetect(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	var saving float64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		m1, err := core.SuiteMechanism(sys, "strong-ecc")
-		if err != nil {
-			b.Fatal(err)
-		}
-		m2, err := core.SuiteMechanism(sys, "light-detect")
-		if err != nil {
-			b.Fatal(err)
-		}
 		w := benchWorkload("web-serve", b)
-		rFull, err := engine.Run(engine.ResolveSpec(sys, m1, w, engine.Options{}))
+		rFull, err := engine.Run(engine.ResolveSpec(sys, mech["strong-ecc"], w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rLight, err := engine.Run(engine.ResolveSpec(sys, m2, w, engine.Options{}))
+		rLight, err := engine.Run(engine.ResolveSpec(sys, mech["light-detect"], w, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,12 +238,13 @@ func BenchmarkF7ThresholdSweep(b *testing.B) {
 // combined mechanism across the whole suite.
 func BenchmarkF8Workloads(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	var totalUEs int64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
 		totalUEs = 0
 		for _, name := range trace.Names() {
-			r := runMech(b, sys, "combined", name)
+			r := runMech(b, sys, mech["combined"], name)
 			totalUEs += r.ues
 		}
 	}
@@ -270,15 +278,16 @@ func BenchmarkF9Bandwidth(b *testing.B) {
 // BenchmarkF10Sensitivity regenerates the drift-spread sensitivity at the
 // 2x pessimistic point.
 func BenchmarkF10Sensitivity(b *testing.B) {
+	sys := benchSystem()
+	for j := range sys.PCM.NuSigma {
+		sys.PCM.NuSigma[j] *= 2
+	}
+	mech := ladder(b, sys)
 	var factor float64
 	for i := 0; i < b.N; i++ {
-		sys := benchSystem()
 		sys.Seed = uint64(i + 1)
-		for j := range sys.PCM.NuSigma {
-			sys.PCM.NuSigma[j] *= 2
-		}
-		basic := runMech(b, sys, "basic", "idle-archive")
-		comb := runMech(b, sys, "combined", "idle-archive")
+		basic := runMech(b, sys, mech["basic"], "idle-archive")
+		comb := runMech(b, sys, mech["combined"], "idle-archive")
 		if comb.writes > 0 {
 			factor = float64(basic.writes) / float64(comb.writes)
 		}
@@ -301,6 +310,7 @@ func BenchmarkF11Lifetime(b *testing.B) {
 // a phased workload.
 func BenchmarkF12Adaptive(b *testing.B) {
 	sys := benchSystem()
+	mech := ladder(b, sys)
 	phased := trace.Workload{
 		Name:                "phased-burst",
 		WritesPerLinePerSec: 0.002,
@@ -315,19 +325,11 @@ func BenchmarkF12Adaptive(b *testing.B) {
 	var fixedE, adaptE float64
 	for i := 0; i < b.N; i++ {
 		sys.Seed = uint64(i + 1)
-		mF, err := core.SuiteMechanism(sys, "threshold")
+		rF, err := engine.Run(engine.ResolveSpec(sys, mech["threshold"], phased, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		mA, err := core.SuiteMechanism(sys, "combined")
-		if err != nil {
-			b.Fatal(err)
-		}
-		rF, err := engine.Run(engine.ResolveSpec(sys, mF, phased, engine.Options{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rA, err := engine.Run(engine.ResolveSpec(sys, mA, phased, engine.Options{}))
+		rA, err := engine.Run(engine.ResolveSpec(sys, mech["combined"], phased, engine.Options{}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,8 +76,7 @@ type Ledger struct {
 	WritePJ  float64
 }
 
-// Accountant prices operations from a Params table; callers add the
-// costs to a Ledger.
+// Accountant prices operation counts (Ops) from a Params table.
 type Accountant struct {
 	p Params
 }
@@ -102,32 +101,32 @@ func MustAccountant(p Params) *Accountant {
 // Params returns a copy of the accountant's cost table.
 func (a *Accountant) Params() Params { return a.p }
 
-// The cost methods price one operation: the amount its ledger category
-// grows by. Callers that repeat an operation resolve its cost once.
-
-// ReadCost is an array read of codewordBits (Ledger.ReadPJ).
-func (a *Accountant) ReadCost(codewordBits int) float64 {
-	return float64(codewordBits) * (a.p.ArrayReadPJPerBit + a.p.BufferPJPerBit)
+// Ops counts the operations a Ledger prices. Every cost in the model is
+// linear in one of these integers, so a run records counts and prices
+// them once, when its result is read: integer counts add up the same in
+// any order, batch or merge, where a float sum of per-operation charges
+// does not. The zero value is ready to use.
+type Ops struct {
+	// ReadBits and WriteBits are array bits sensed and programmed; the
+	// buffer cost is charged on both.
+	ReadBits, WriteBits int64
+	// SECDEDWords counts SECDED word decodes; BCHUnits sums the
+	// capability t of every full BCH decode.
+	SECDEDWords, BCHUnits int64
+	// CRCPasses counts lightweight detection passes.
+	CRCPasses int64
 }
 
-// WriteCost is an array write of codewordBits (Ledger.WritePJ).
-func (a *Accountant) WriteCost(codewordBits int) float64 {
-	return float64(codewordBits) * (a.p.ArrayWritePJPerBit + a.p.BufferPJPerBit)
+// Price returns the energy the counts cost under the accountant's table.
+func (a *Accountant) Price(o Ops) Ledger {
+	p := &a.p
+	return Ledger{
+		ReadPJ:   float64(o.ReadBits) * (p.ArrayReadPJPerBit + p.BufferPJPerBit),
+		DecodePJ: float64(o.SECDEDWords)*p.SECDEDDecodePJ + float64(o.BCHUnits)*p.BCHDecodePJPerT,
+		DetectPJ: float64(o.CRCPasses) * p.CRCCheckPJ,
+		WritePJ:  float64(o.WriteBits) * (p.ArrayWritePJPerBit + p.BufferPJPerBit),
+	}
 }
-
-// SECDEDDecodeCost is a SECDED decode of the given number of words
-// (Ledger.DecodePJ).
-func (a *Accountant) SECDEDDecodeCost(words int) float64 {
-	return float64(words) * a.p.SECDEDDecodePJ
-}
-
-// BCHDecodeCost is a full BCH decode of capability t (Ledger.DecodePJ).
-func (a *Accountant) BCHDecodeCost(t int) float64 {
-	return float64(t) * a.p.BCHDecodePJPerT
-}
-
-// CRCCost is a lightweight detection pass (Ledger.DetectPJ).
-func (a *Accountant) CRCCost() float64 { return a.p.CRCCheckPJ }
 
 // Total returns the ledger's total energy in pJ.
 func (l *Ledger) Total() float64 {

@@ -35,11 +35,11 @@ func TestAccountantCharges(t *testing.T) {
 		name      string
 		got, want float64
 	}{
-		{"read", a.ReadCost(576), 576 * (p.ArrayReadPJPerBit + p.BufferPJPerBit)},
-		{"write", a.WriteCost(576), 576 * (p.ArrayWritePJPerBit + p.BufferPJPerBit)},
-		{"secded", a.SECDEDDecodeCost(8), 8 * p.SECDEDDecodePJ},
-		{"bch", a.BCHDecodeCost(4), 4 * p.BCHDecodePJPerT},
-		{"crc", a.CRCCost(), p.CRCCheckPJ},
+		{"read", a.Price(Ops{ReadBits: 576}).ReadPJ, 576 * (p.ArrayReadPJPerBit + p.BufferPJPerBit)},
+		{"write", a.Price(Ops{WriteBits: 576}).WritePJ, 576 * (p.ArrayWritePJPerBit + p.BufferPJPerBit)},
+		{"secded", a.Price(Ops{SECDEDWords: 8}).DecodePJ, 8 * p.SECDEDDecodePJ},
+		{"bch", a.Price(Ops{BCHUnits: 4}).DecodePJ, 4 * p.BCHDecodePJPerT},
+		{"crc", a.Price(Ops{CRCPasses: 1}).DetectPJ, p.CRCCheckPJ},
 	}
 	for _, c := range cases {
 		if math.Abs(c.got-c.want) > 1e-9 {
@@ -52,10 +52,35 @@ func TestAccountantCharges(t *testing.T) {
 	}
 }
 
+// TestPriceIsCountsTimesUnitPrices pins pricing on a cost table whose
+// entries are not dyadic: each category is its count times its unit
+// price, one product per count, so the energy does not depend on how
+// the counts were accumulated.
+func TestPriceIsCountsTimesUnitPrices(t *testing.T) {
+	p := Params{
+		ArrayReadPJPerBit: 2.1, ArrayWritePJPerBit: 173.3, SECDEDDecodePJ: 6.7,
+		BCHDecodePJPerT: 25.3, CRCCheckPJ: 4.1, BufferPJPerBit: 0.3,
+	}
+	o := Ops{ReadBits: 123_457, WriteBits: 98_765, SECDEDWords: 4_321, BCHUnits: 777, CRCPasses: 5_555}
+	got := MustAccountant(p).Price(o)
+	want := Ledger{
+		ReadPJ:   float64(o.ReadBits) * (p.ArrayReadPJPerBit + p.BufferPJPerBit),
+		DecodePJ: float64(o.SECDEDWords)*p.SECDEDDecodePJ + float64(o.BCHUnits)*p.BCHDecodePJPerT,
+		DetectPJ: float64(o.CRCPasses) * p.CRCCheckPJ,
+		WritePJ:  float64(o.WriteBits) * (p.ArrayWritePJPerBit + p.BufferPJPerBit),
+	}
+	if got != want {
+		t.Errorf("Price = %+v, want %+v", got, want)
+	}
+	if z := MustAccountant(p).Price(Ops{}); z != (Ledger{}) {
+		t.Errorf("zero counts priced %+v", z)
+	}
+}
+
 func TestLedgerAddAndScale(t *testing.T) {
 	a := MustAccountant(DefaultParams())
-	l1 := Ledger{ReadPJ: a.ReadCost(100)}
-	l2 := Ledger{WritePJ: a.WriteCost(100)}
+	l1 := a.Price(Ops{ReadBits: 100})
+	l2 := a.Price(Ops{WriteBits: 100})
 	l1.Add(l2)
 	if l1.WritePJ != l2.WritePJ {
 		t.Error("Add did not fold write energy")
@@ -72,8 +97,10 @@ func TestWriteDominatesScrubWriteback(t *testing.T) {
 	// the read + full BCH-8 decode that preceded it — the physical fact
 	// that makes "avoid needless write-backs" the paper's big lever.
 	a := MustAccountant(DefaultParams())
-	read := a.ReadCost(592) + a.BCHDecodeCost(8)
-	write := a.WriteCost(592)
+	check := a.Price(Ops{ReadBits: 592, BCHUnits: 8})
+	read := check.Total()
+	writeBack := a.Price(Ops{WriteBits: 592})
+	write := writeBack.Total()
 	if write <= read {
 		t.Errorf("write-back (%g pJ) should dominate read+decode (%g pJ)", write, read)
 	}

@@ -110,9 +110,10 @@ func (d *Device) Rounds() int64 { return d.rounds }
 func (d *Device) Totals() Result {
 	res := d.s.res
 	res.SimSeconds = d.t
-	// Fold the live on-die/profiling counters so fleet telemetry matches
-	// what a one-shot run would report at this point.
-	d.s.foldInstr(&res)
+	// Price the operation counts and fold the live on-die/profiling
+	// counters so fleet telemetry matches what a one-shot run would
+	// report at this point.
+	d.s.fold(&res)
 	return res
 }
 
@@ -231,7 +232,7 @@ func (d *Device) SetPolicy(p scrub.Policy) error {
 		return fmt.Errorf("engine: nil policy")
 	}
 	// The detection mode decides the visit path and, through the CRC a
-	// codeword stores, the cost of every later write.
+	// codeword stores, the width of every later write.
 	d.s.setPolicy(p)
 	// Profiling state follows the policy: switching to a Profiler arms
 	// (or re-arms, if the schedule changed) the at-risk machinery;
@@ -264,7 +265,7 @@ func (d *Device) RepairLine(line int) error {
 	copy(s.weakest[slot*s.kw:(slot+1)*s.kw], s.weakBuf)
 	s.writes[slot] = 0
 	s.writeLine(slot, d.t)
-	s.res.ScrubEnergy.WritePJ += s.cost.write
+	s.scrubOps.WriteBits += s.width.write
 	s.res.RepairWrites++
 	return nil
 }

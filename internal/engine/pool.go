@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/energy"
 	"repro/internal/pcm"
 	"repro/internal/stats"
 )
@@ -37,6 +38,7 @@ func (s *state) release() {
 	s.ondie = nil
 	s.prof = nil
 	s.res = Result{}
+	s.scrubOps, s.demandOps = energy.Ops{}, energy.Ops{}
 	statePool.Put(s)
 }
 

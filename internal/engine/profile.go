@@ -110,7 +110,7 @@ func (s *state) profileRound(t float64) {
 	p.rounds++
 	p.reads += int64(p.cfg.Passes) * int64(s.slots)
 	// Charge the profiling reads: Passes data-word reads per line.
-	s.res.ScrubEnergy.ReadPJ += s.acct.ReadCost(s.dataBits * p.cfg.Passes * s.slots)
+	s.scrubOps.ReadBits += int64(s.dataBits * p.cfg.Passes * s.slots)
 
 	p.riskBuf = p.riskBuf[:0]
 	for i := 0; i < s.slots; i++ {
@@ -170,10 +170,13 @@ func (s *state) profileRound(t float64) {
 	}
 }
 
-// foldInstr copies the on-die and profiling counters into res. run()
-// calls it once at the end of a run; Device.Totals calls it on its
-// snapshot so live fleet telemetry sees the same fields.
-func (s *state) foldInstr(res *Result) {
+// fold prices the operation counts into res's energy ledgers and copies
+// the on-die and profiling counters into res. run() calls it once at the
+// end of a run; Device.Totals calls it on its snapshot so live fleet
+// telemetry sees the same fields.
+func (s *state) fold(res *Result) {
+	res.ScrubEnergy = s.acct.Price(s.scrubOps)
+	res.DemandEnergy = s.acct.Price(s.demandOps)
 	if s.ondie != nil {
 		res.OnDieCorrectedBits = s.ondie.CorrectedBits()
 		res.OnDieOverflows = s.ondie.Overflows()

@@ -39,7 +39,8 @@ type Result struct {
 	// Demand activity.
 	DemandWrites int64
 
-	// Energy.
+	// Energy, priced from the run's operation counts when the result is
+	// read (at the end of a run, or by Device.Totals).
 	ScrubEnergy  energy.Ledger
 	DemandEnergy energy.Ledger
 

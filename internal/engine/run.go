@@ -29,16 +29,17 @@ const visitStride = 256
 // codes without depending on the concrete type.
 type secdedLike interface{ Words() int }
 
-// costs holds the exact energy each ledger charge of a visit or a line
-// write adds, resolved once per run from the accountant (resolveCosts)
-// so the hot path adds a constant instead of recomputing a product.
-type costs struct {
-	fullRead  float64 // data and check bits, read by a full decode
-	probeRead float64 // data and CRC bits, read by a light probe
-	checkRead float64 // check bits, fetched once a probe fires
-	decode    float64 // one full decode of the line
-	crc       float64 // one CRC recompute-and-compare
-	write     float64 // one codeword, CRC and ECP pointers included
+// widths holds the operation counts each ledger charge of a visit or a
+// line write adds, resolved when the policy is installed (resolveWidths).
+// The run records counts, not energy: the accountant prices them when
+// the result is read (fold).
+type widths struct {
+	fullRead    int64 // data and check bits, read by a full decode
+	probeRead   int64 // data and CRC bits, read by a light probe
+	checkRead   int64 // check bits, fetched once a probe fires
+	secdedWords int64 // SECDED words one full decode runs (0 under BCH)
+	bchUnits    int64 // BCH capability one full decode runs at (0 under SECDED)
+	write       int64 // one codeword, CRC and ECP pointers included
 }
 
 // state is the mutable simulation state. Run instances are recycled
@@ -59,7 +60,11 @@ type state struct {
 	// is the light probe, read when the policy is installed (setPolicy).
 	capability int
 	hasCRC     bool
-	cost       costs
+	width      widths
+
+	// scrubOps and demandOps are the run's operation counts by
+	// attribution; fold prices them into the result's energy ledgers.
+	scrubOps, demandOps energy.Ops
 
 	lines   int // logical lines
 	slots   int // physical slots (lines, or lines+1 with leveling)
@@ -260,13 +265,12 @@ func newState(spec Spec) (*state, error) {
 func (s *state) setPolicy(p scrub.Policy) {
 	s.policy = p
 	s.hasCRC = p.Detection() == scrub.LightDetect
-	s.resolveCosts()
+	s.resolveWidths()
 }
 
-// resolveCosts fills the cost table from the accountant, the scheme and
-// the detection mode.
-func (s *state) resolveCosts() {
-	a := s.acct
+// resolveWidths fills the width table from the scheme and the detection
+// mode.
+func (s *state) resolveWidths() {
 	// A written codeword carries the check bits, the CRC under light
 	// detection, and the ECP pointer table, whose bits are rewritten
 	// alongside the data.
@@ -282,22 +286,21 @@ func (s *state) resolveCosts() {
 		}
 		written += p.OverheadBits()
 	}
-	s.cost = costs{
-		fullRead:  a.ReadCost(s.dataBits + s.checkBits),
-		probeRead: a.ReadCost(s.dataBits + crcBits),
-		checkRead: a.ReadCost(s.checkBits),
-		decode:    a.BCHDecodeCost(s.capability),
-		crc:       a.CRCCost(),
-		write:     a.WriteCost(written),
+	s.width = widths{
+		fullRead:  int64(s.dataBits + s.checkBits),
+		probeRead: int64(s.dataBits + crcBits),
+		checkRead: int64(s.checkBits),
+		bchUnits:  int64(s.capability),
+		write:     int64(written),
 	}
 	if ws, ok := s.scheme.(secdedLike); ok {
-		s.cost.decode = a.SECDEDDecodeCost(ws.Words())
+		s.width.secdedWords, s.width.bchUnits = int64(ws.Words()), 0
 	}
 }
 
 // writeLine reprograms a line at absolute time t: resets its drift clock,
 // starts fresh crossing streams, advances wear, and re-rolls stuck bits.
-// Energy is charged by the caller (demand vs scrub attribution).
+// The caller counts the written bits (demand vs scrub attribution).
 func (s *state) writeLine(i int, t float64) {
 	s.writes[i]++
 	s.writeTime[i] = t
@@ -408,7 +411,7 @@ func (s *state) recordArrayWrite(t float64) {
 	s.moveBuf = s.lev.RecordWrites(1, s.moveBuf)
 	for _, mv := range s.moveBuf {
 		s.writeLine(mv.To, t)
-		s.res.DemandEnergy.WritePJ += s.cost.write
+		s.demandOps.WriteBits += s.width.write
 		s.res.LevelerMoves++
 	}
 }
@@ -420,7 +423,7 @@ func (s *state) applyDemand(t0, dt float64) int {
 	for _, line := range s.eventBuf {
 		tw := t0 + s.rng.Float64()*dt
 		s.writeLine(s.mapSlot(line), tw)
-		s.res.DemandEnergy.WritePJ += s.cost.write
+		s.demandOps.WriteBits += s.width.write
 		s.res.DemandWrites++
 		s.recordArrayWrite(tw)
 	}
@@ -466,11 +469,11 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		observed += s.inj.ReadFlip()
 	}
 
-	e := &s.res.ScrubEnergy
+	o := &s.scrubOps
 	if s.hasCRC {
 		// Read data + CRC and run the cheap probe.
-		e.ReadPJ += s.cost.probeRead
-		e.DetectPJ += s.cost.crc
+		o.ReadBits += s.width.probeRead
+		o.CRCPasses++
 		s.res.ScrubProbes++
 		if observed == 0 {
 			return
@@ -482,11 +485,12 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 			return // injected detector fault: erroneous line reads clean
 		}
 		// Probe fired: fetch the check bits and decode for the count.
-		e.ReadPJ += s.cost.checkRead
+		o.ReadBits += s.width.checkRead
 	} else {
-		e.ReadPJ += s.cost.fullRead
+		o.ReadBits += s.width.fullRead
 	}
-	e.DecodePJ += s.cost.decode
+	o.SECDEDWords += s.width.secdedWords
+	o.BCHUnits += s.width.bchUnits
 	s.res.ScrubDecodes++
 
 	// Stuck ECC check bits corrupt the syndromes the decoder works
@@ -519,7 +523,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		}
 		s.attributeDetection(i, t)
 		s.writeLine(i, t)
-		e.WritePJ += s.cost.write
+		o.WriteBits += s.width.write
 		s.res.RepairWrites++
 		s.recordArrayWrite(t)
 		return
@@ -531,7 +535,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if s.policy.ShouldWriteBack(info) {
 		s.res.CorrectedBits += int64(errBits)
 		s.writeLine(i, t)
-		e.WritePJ += s.cost.write
+		o.WriteBits += s.width.write
 		s.res.ScrubWriteBacks++
 		rs.WriteBacks++
 		s.recordArrayWrite(t)
@@ -642,6 +646,6 @@ func (s *state) run(ctx context.Context) error {
 	if s.inj != nil {
 		s.res.Faults = s.inj.Counts()
 	}
-	s.foldInstr(&s.res)
+	s.fold(&s.res)
 	return nil
 }

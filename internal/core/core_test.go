@@ -98,7 +98,7 @@ func TestSuiteShape(t *testing.T) {
 		if m.Name != wantNames[i] {
 			t.Errorf("mechanism %d = %q, want %q", i, m.Name, wantNames[i])
 		}
-		if m.Scheme == nil || m.Policy == nil || m.Interval <= 0 {
+		if m.Scheme == nil || m.Policy.Validate() != nil || m.Interval <= 0 {
 			t.Errorf("mechanism %q incomplete", m.Name)
 		}
 	}

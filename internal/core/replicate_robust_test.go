@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/scrub"
+	"repro/internal/stats"
 )
 
 // withReplicaRunner substitutes the replica runner for the duration of a
@@ -182,23 +182,22 @@ func TestRunReplicatedContextCancel(t *testing.T) {
 }
 
 // TestRunReplicaRecoversRealPanic exercises the production runner (not a
-// test substitute) against a policy that panics mid-run.
+// test substitute) against a traffic source that panics mid-run.
 func TestRunReplicaRecoversRealPanic(t *testing.T) {
 	sys := smallSystem()
 	m, _ := SuiteMechanism(sys, "basic")
-	m.Policy = panicPolicy{Policy: m.Policy}
-	cfg := engine.ResolveSpec(sys, m, smallWorkload(), engine.Options{})
+	cfg := engine.ResolveSpec(sys, m, smallWorkload(), engine.Options{Source: panicSource{}})
 	res, err := safeRunReplica(context.Background(), cfg)
 	if err == nil || res != nil {
-		t.Fatalf("panicking policy: res=%v err=%v, want nil result and error", res, err)
+		t.Fatalf("panicking traffic source: res=%v err=%v, want nil result and error", res, err)
 	}
 }
 
-// panicPolicy panics on the first interval adaptation of a run.
-type panicPolicy struct{ scrub.Policy }
+// panicSource panics on the first demand epoch of a run.
+type panicSource struct{}
 
-func (p panicPolicy) NextInterval(cur float64, rs scrub.RoundStats) float64 {
-	panic("synthetic policy defect")
+func (panicSource) WritesInEpoch(*stats.RNG, float64, float64, []int) []int {
+	panic("synthetic traffic-source defect")
 }
 
 func TestCompareReplicatedReportsSkippedPairs(t *testing.T) {

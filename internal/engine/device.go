@@ -228,25 +228,20 @@ func (d *Device) ScrubRange(first, count int, dt float64, obs []LineObservation)
 // from the next increment on; device state (drift, wear, clock, cursor)
 // is untouched, so a session reconfigured mid-flight keeps its identity.
 func (d *Device) SetPolicy(p scrub.Policy) error {
-	if p == nil {
-		return fmt.Errorf("engine: nil policy")
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("engine: %w", err)
 	}
 	// The detection mode decides the visit path and, through the CRC a
 	// codeword stores, the width of every later write.
 	d.s.setPolicy(p)
-	// Profiling state follows the policy: switching to a Profiler arms
-	// (or re-arms, if the schedule changed) the at-risk machinery;
-	// switching away drops it along with its accumulated set.
-	if pp, ok := p.(scrub.Profiler); ok {
-		cfg := pp.Profile()
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		if d.s.prof == nil || d.s.prof.cfg != cfg {
-			d.s.prof = newProfiler(cfg)
-		}
-	} else {
+	// Profiling state follows the policy: a profiling schedule arms (or
+	// re-arms, if the schedule changed) the at-risk machinery; a policy
+	// without one drops it along with its accumulated set.
+	switch cfg := p.Profile; {
+	case cfg == nil:
 		d.s.prof = nil
+	case d.s.prof == nil || d.s.prof.cfg != *cfg:
+		d.s.prof = newProfiler(*cfg)
 	}
 	return nil
 }

@@ -144,55 +144,65 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// cancelPolicy cancels its context from inside the visit loop after a set
-// number of write-back consultations, which under FullDecode is one per
-// visit — letting the test measure how many further visits the engine
-// performs before it notices.
-type cancelPolicy struct {
-	scrub.Policy
-	cancel context.CancelFunc
-	after  int
-	calls  int
+// cancelAfter is a context that is cancelled right after its after-th
+// Err call: that call still answers nil and records the run's visit
+// count, and every later call answers Canceled. A test can then measure
+// how many visits the engine performs between the cancel and its return.
+type cancelAfter struct {
+	context.Context
+	s        *state
+	after    int
+	calls    int
+	visitsAt int64
 }
 
-func (p *cancelPolicy) ShouldWriteBack(scrub.VisitInfo) bool {
-	p.calls++
-	if p.calls == p.after {
-		p.cancel()
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls < c.after {
+		return nil
 	}
-	return false
+	if c.calls == c.after {
+		c.visitsAt = c.s.res.ScrubVisits
+		return nil
+	}
+	return context.Canceled
 }
 
 // TestCancellationVisitStride verifies the bounded-latency cancellation
 // fix: with a single substep spanning 8192 lines, a context cancelled
 // mid-substep must stop the patrol within visitStride visits, not at the
-// substep boundary thousands of visits later.
+// substep boundary thousands of visits later. The always-write patrol
+// runs every visit in full, so the visit counter is live.
 func TestCancellationVisitStride(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pol := &cancelPolicy{Policy: scrub.Basic(), cancel: cancel, after: 100}
-
 	spec := testSpec()
 	spec.Geometry = mem.Geometry{
 		Channels: 1, RanksPerChan: 1, BanksPerRank: 8,
 		RowsPerBank: 32, LinesPerRow: 32, LineBytes: 64,
 	} // 8192 lines
 	spec.Substeps = 1
-	spec.Policy = pol
+	spec.Policy = scrub.AlwaysWrite()
+	s, err := newState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.release()
+	ctx := &cancelAfter{Context: context.Background(), s: s, after: 3}
 
-	_, err := RunContext(ctx, spec)
+	err = s.run(ctx)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
 	if !strings.Contains(err.Error(), "engine: run canceled") {
 		t.Errorf("error = %v, want engine cancellation error", err)
 	}
-	maxVisits := pol.after + visitStride
-	if pol.calls > maxVisits {
-		t.Errorf("engine performed %d visits before honouring cancel, want <= %d", pol.calls, maxVisits)
+	if ctx.visitsAt == 0 {
+		t.Fatalf("cancelled after %d visits — test harness broken", ctx.visitsAt)
 	}
-	if pol.calls < pol.after {
-		t.Errorf("only %d visits before cancel point %d — test harness broken", pol.calls, pol.after)
+	if extra := s.res.ScrubVisits - ctx.visitsAt; extra > visitStride {
+		t.Errorf("engine performed %d visits after the cancel, want <= %d", extra, visitStride)
+	}
+	if s.res.ScrubVisits >= int64(s.slots) {
+		t.Errorf("engine finished the %d-line substep (%d visits) despite the cancel", s.slots, s.res.ScrubVisits)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/pcm"
+	"repro/internal/scrub"
 	"repro/internal/stats"
 )
 
@@ -32,7 +33,7 @@ func (s *state) release() {
 	s.acct = nil
 	s.source = nil
 	s.scheme = nil
-	s.policy = nil
+	s.policy = scrub.Policy{}
 	s.lev = nil
 	s.inj = nil
 	s.ondie = nil

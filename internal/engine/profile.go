@@ -9,8 +9,8 @@ import (
 // profiler holds the per-device active-profiling state (HARP-style): the
 // at-risk line set built by profiling rounds and the visit-redirection
 // bookkeeping that biases patrol toward it. It lives on the engine state,
-// not the policy — policies stay stateless per the scrub.Policy contract,
-// and a pooled state drops it on release.
+// not the policy — a scrub.Policy is a value that carries only the
+// schedule — and a pooled state drops it on release.
 type profiler struct {
 	cfg scrub.ProfileConfig
 

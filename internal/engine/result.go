@@ -90,7 +90,8 @@ type Result struct {
 	OnDieWeakLines      int   `json:",omitempty"`
 	OnDieCheckBitsSaved int64 `json:",omitempty"`
 
-	// Active profiling (all zero unless the policy is a scrub.Profiler).
+	// Active profiling (all zero unless the policy has a profiling
+	// schedule).
 	// Direct positions surface when the on-die decode fails outright;
 	// indirect ones are pried out of still-correcting lines by repeated
 	// profiling passes.

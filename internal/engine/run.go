@@ -83,8 +83,8 @@ type state struct {
 
 	// ondie is the chip-internal ECC layer; nil means no on-die code (the
 	// bit-identical baseline). prof is the active-profiling state, present
-	// only when the policy is a scrub.Profiler. Neither ever touches the
-	// RNG stream.
+	// only when the policy carries a profiling schedule. Neither ever
+	// touches the RNG stream.
 	ondie *ondie.Layer
 	prof  *profiler
 
@@ -244,14 +244,9 @@ func newState(spec Spec) (*state, error) {
 	if layer != nil {
 		layer.Assign(s.writes[:slots])
 	}
-	if pp, ok := spec.Policy.(scrub.Profiler); ok {
-		cfg := pp.Profile()
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		s.prof = newProfiler(cfg)
-	} else {
-		s.prof = nil
+	s.prof = nil
+	if cfg := spec.Policy.Profile; cfg != nil {
+		s.prof = newProfiler(*cfg)
 	}
 	s.res.PolicyName = spec.Policy.Name()
 	s.res.SchemeName = spec.Scheme.Name()

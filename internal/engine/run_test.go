@@ -21,7 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"nil scheme", func(c *Spec) { c.Scheme = nil }},
-		{"nil policy", func(c *Spec) { c.Policy = nil }},
+		{"zero policy", func(c *Spec) { c.Policy = scrub.Policy{} }},
 		{"zero interval", func(c *Spec) { c.Interval = 0 }},
 		{"horizon < interval", func(c *Spec) { c.Horizon = c.Interval / 2 }},
 		{"negative substeps", func(c *Spec) { c.Substeps = -1 }},

@@ -49,8 +49,8 @@ func (c *Spec) Validate() error {
 	if c.Scheme == nil {
 		return fmt.Errorf("engine: Scheme is required")
 	}
-	if c.Policy == nil {
-		return fmt.Errorf("engine: Policy is required")
+	if err := c.Policy.Validate(); err != nil {
+		return fmt.Errorf("engine: Policy: %w", err)
 	}
 	if c.Interval <= 0 {
 		return fmt.Errorf("engine: Interval must be positive")

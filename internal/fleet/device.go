@@ -183,7 +183,7 @@ func (d *Device) ApplyPatch(p PatrolPatch) (PatrolConfig, error) {
 // the policy name to journal.
 type mergedPatch struct {
 	cfg     PatrolConfig
-	pol     scrub.Policy
+	pol     *scrub.Policy // nil: the patch keeps the policy
 	polName string
 }
 
@@ -217,19 +217,19 @@ func (d *Device) mergePatch(p PatrolPatch) (mergedPatch, error) {
 		if err != nil {
 			return mergedPatch{}, err
 		}
-		mp.pol, mp.polName = pol, *p.Policy
+		mp.pol, mp.polName = &pol, *p.Policy
 	}
 	return mp, nil
 }
 
 // applyPatch installs a patch mergePatch accepted and wakes the session.
-// SetPolicy refuses only an invalid profiling schedule, which no policy
-// scrub.ByName builds carries, so after mergePatch this does not fail.
+// SetPolicy refuses only an invalid policy, which scrub.ByName never
+// builds, so after mergePatch this does not fail.
 func (d *Device) applyPatch(mp mergedPatch) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if mp.pol != nil {
-		if err := d.dev.SetPolicy(mp.pol); err != nil {
+		if err := d.dev.SetPolicy(*mp.pol); err != nil {
 			return err
 		}
 		d.policyName = mp.pol.Name()

@@ -225,7 +225,7 @@ func (ds DeviceSpec) build() (engine.Spec, PatrolConfig, RepairConfig, error) {
 func policyByName(name string) (scrub.Policy, error) {
 	p, err := scrub.ByName(name)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: unknown policy %q (valid: %s)",
+		return scrub.Policy{}, fmt.Errorf("fleet: unknown policy %q (valid: %s)",
 			name, strings.Join(scrub.Names(), ", "))
 	}
 	return p, nil

@@ -1,8 +1,11 @@
 // Package scrub defines the scrub policies the study compares: what a
 // patrol visit does to a line (how errors are checked, when the line is
-// rewritten) and how the sweep interval adapts. Policies are pure decision
-// logic — the reliability simulator (internal/engine) owns state and physics
-// and consults a Policy at every visit.
+// rewritten) and how the sweep interval adapts. A Policy is a value —
+// detection mode, write threshold, wear-aware flag, adaptive controller,
+// optional profiling schedule and label — and the reliability simulator
+// (internal/engine), which owns state and physics, reads its write rule
+// as data: it can tell from the fields alone that a clean line is never
+// rewritten.
 //
 // The design space has three orthogonal axes, mirroring the paper:
 //
@@ -71,28 +74,6 @@ type RoundStats struct {
 	UEs        int64
 }
 
-// Policy is consulted by the simulator at each scrub visit and after each
-// sweep. Implementations must be stateless with respect to individual
-// lines (per-line state lives in the simulator); interval adaptation state
-// is allowed.
-type Policy interface {
-	// Name labels the policy in reports.
-	Name() string
-	// Detection returns the visit's error-check mechanism. The engine
-	// reads it once, when the policy is installed (at run start, or by
-	// Device.SetPolicy), and resolves the visit path and per-visit costs
-	// from it; the answer must not change while the policy is in use.
-	Detection() Detection
-	// ShouldWriteBack decides whether a correctable line is rewritten.
-	// It is consulted for every line the visit actually decoded (with a
-	// light probe, clean lines are skipped before this point);
-	// uncorrectable lines are always repaired without consultation.
-	ShouldWriteBack(v VisitInfo) bool
-	// NextInterval returns the sweep interval to use after a sweep that
-	// ran at cur seconds and observed rs.
-	NextInterval(cur float64, rs RoundStats) float64
-}
-
 // AdaptiveConfig tunes sweep-interval feedback.
 type AdaptiveConfig struct {
 	// MinInterval and MaxInterval bound the interval in seconds.
@@ -138,7 +119,8 @@ func (a *AdaptiveConfig) Validate() error {
 
 // Config describes a policy point in the design space.
 type Config struct {
-	// Label overrides the derived name when non-empty.
+	// Label names the policy in reports. New derives one from the other
+	// fields when it is empty.
 	Label string
 	// Detect selects the visit check.
 	Detect Detection
@@ -170,22 +152,26 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// policy is the concrete Policy for a Config.
-type policy struct {
-	cfg  Config
-	name string
+// Policy is one scrub policy, a value: the simulator reads its fields at
+// every visit and calls NextInterval after every sweep. Build it with New
+// or a named constructor, which validate it and fill in its label.
+type Policy struct {
+	Config
+	// Profile, when non-nil, arms HARP-style active profiling: the
+	// engine runs profiling rounds on this schedule and re-aims a share
+	// of patrol visits at the at-risk lines they find.
+	Profile *ProfileConfig
 }
 
 // New builds a Policy from a Config.
 func New(cfg Config) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Policy{}, err
 	}
-	name := cfg.Label
-	if name == "" {
-		name = deriveName(cfg)
+	if cfg.Label == "" {
+		cfg.Label = deriveName(cfg)
 	}
-	return &policy{cfg: cfg, name: name}, nil
+	return Policy{Config: cfg}, nil
 }
 
 // MustNew is New that panics on error.
@@ -216,19 +202,37 @@ func deriveName(cfg Config) string {
 	return name
 }
 
-// Name implements Policy.
-func (p *policy) Name() string { return p.name }
+// Validate checks the policy: a label (New fills it in), its Config and
+// its profiling schedule.
+func (p Policy) Validate() error {
+	if p.Label == "" {
+		return fmt.Errorf("scrub: policy has no label; build it with scrub.New")
+	}
+	if err := p.Config.Validate(); err != nil {
+		return err
+	}
+	if p.Profile != nil {
+		return p.Profile.Validate()
+	}
+	return nil
+}
 
-// Detection implements Policy.
-func (p *policy) Detection() Detection { return p.cfg.Detect }
+// Name labels the policy in reports.
+func (p Policy) Name() string { return p.Label }
 
-// ShouldWriteBack implements Policy.
-func (p *policy) ShouldWriteBack(v VisitInfo) bool {
-	thr := p.cfg.WriteThreshold
+// Detection returns the visit's error-check mechanism.
+func (p Policy) Detection() Detection { return p.Detect }
+
+// ShouldWriteBack decides whether a visit rewrites a correctable line. The
+// engine asks it for every line the visit decoded (with a light probe,
+// clean lines stop before this point); uncorrectable lines are always
+// repaired. A WriteThreshold of at least 1 never rewrites a clean line.
+func (p Policy) ShouldWriteBack(v VisitInfo) bool {
+	thr := p.WriteThreshold
 	if thr == 0 {
 		return true
 	}
-	if p.cfg.WearAware {
+	if p.WearAware {
 		thr -= v.DeadCells
 		if thr < 1 {
 			thr = 1
@@ -237,9 +241,10 @@ func (p *policy) ShouldWriteBack(v VisitInfo) bool {
 	return v.ErrBits >= thr
 }
 
-// NextInterval implements Policy.
-func (p *policy) NextInterval(cur float64, rs RoundStats) float64 {
-	a := p.cfg.Adaptive
+// NextInterval returns the sweep interval to use after a sweep that ran
+// at cur seconds and observed rs.
+func (p Policy) NextInterval(cur float64, rs RoundStats) float64 {
+	a := p.Adaptive
 	if a == nil {
 		return cur
 	}
@@ -288,7 +293,7 @@ func ByName(spec string) (Policy, error) {
 	if n, err := fmt.Sscanf(spec, "profiled-%d", &k); err == nil && n == 1 && k >= 1 {
 		return ProfiledThreshold(k), nil
 	}
-	return nil, fmt.Errorf("scrub: unknown policy %q", spec)
+	return Policy{}, fmt.Errorf("scrub: unknown policy %q", spec)
 }
 
 // Basic returns the DRAM-style baseline: full decode each visit, write

@@ -70,33 +70,15 @@ func (p *ProfileConfig) Validate() error {
 	return nil
 }
 
-// Profiler is the optional Policy extension that turns on active
-// profiling. The engine type-asserts for it when a policy is installed;
-// the profiling state itself (at-risk set, round counters) lives in the
-// engine per device, keeping policies stateless per the Policy contract.
-type Profiler interface {
-	Policy
-	// Profile returns the profiling schedule this policy wants.
-	Profile() ProfileConfig
-}
-
-// profiled decorates a base policy with a profiling schedule.
-type profiled struct {
-	Policy
-	prof ProfileConfig
-}
-
-// Profile implements Profiler.
-func (p *profiled) Profile() ProfileConfig { return p.prof }
-
-// Profiled wraps base with HARP-style active profiling under cfg. The
-// wrapped policy keeps base's visit behaviour; the engine adds the
-// profiling rounds and visit redirection.
-func Profiled(base Policy, cfg ProfileConfig) (Profiler, error) {
+// Profiled returns base with HARP-style active profiling under cfg. The
+// policy keeps base's visit behaviour; the engine adds the profiling
+// rounds and visit redirection.
+func Profiled(base Policy, cfg ProfileConfig) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Policy{}, err
 	}
-	return &profiled{Policy: base, prof: cfg}, nil
+	base.Profile = &cfg
+	return base, nil
 }
 
 // ProfiledThreshold is the standard profiled policy: full decode, write
@@ -104,7 +86,7 @@ func Profiled(base Policy, cfg ProfileConfig) (Profiler, error) {
 // profiling schedule. Under on-die ECC the k=1 variant is the natural
 // choice: visible error counts jump from zero straight past the on-die
 // strength, so any visible error is already an emergency.
-func ProfiledThreshold(k int) Profiler {
+func ProfiledThreshold(k int) Policy {
 	base := MustNew(Config{
 		Label:          fmt.Sprintf("profiled-%d", k),
 		Detect:         FullDecode,

@@ -27,11 +27,10 @@ func TestProfiledByName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ByName(profiled): %v", err)
 	}
-	prof, ok := p.(Profiler)
-	if !ok {
-		t.Fatal("profiled policy does not implement Profiler")
+	if p.Profile == nil {
+		t.Fatal("profiled policy carries no profiling schedule")
 	}
-	if prof.Profile() != DefaultProfile() {
+	if *p.Profile != DefaultProfile() {
 		t.Fatal("profiled policy carries a non-default schedule")
 	}
 	if p.Detection() != FullDecode {
@@ -53,9 +52,9 @@ func TestProfiledByName(t *testing.T) {
 		t.Fatal("profiled-3 wrote back below threshold")
 	}
 
-	// Non-profiled policies must not accidentally satisfy Profiler.
-	if _, ok := Basic().(Profiler); ok {
-		t.Fatal("basic policy claims to be a Profiler")
+	// Non-profiled policies must not carry a schedule.
+	if Basic().Profile != nil {
+		t.Fatal("basic policy carries a profiling schedule")
 	}
 
 	if _, err := ByName("profiled-0"); err == nil {

@@ -153,6 +153,13 @@ func (d *Device) visitObserved(slot int, tv float64, rs *scrub.RoundStats, rep *
 	}
 }
 
+// countQuiet counts n quiet visits (state.quiet) into the engine counters
+// and the report: a quiet line carries no observation.
+func (d *Device) countQuiet(n int64, rs *scrub.RoundStats, rep *ChunkReport) {
+	d.s.countChecks(n, rs)
+	rep.Lines += int(n)
+}
+
 // PatrolChunk performs one background-scrub increment: demand traffic is
 // applied over the next dt simulated seconds, then the next n lines in
 // patrol order are visited at times spread across the window. The cursor
@@ -171,6 +178,7 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 	s := d.s
 	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
 	rs := scrub.RoundStats{Capability: s.capability}
+	var quiet int64
 	for j := 0; j < n; j++ {
 		slot := int(s.visitOrder[d.cursor])
 		d.cursor++
@@ -186,8 +194,13 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 		if s.prof != nil {
 			slot = s.patrolTarget(slot)
 		}
+		if s.quiet(slot, tv) {
+			quiet++
+			continue
+		}
 		d.visitObserved(slot, tv, &rs, &rep)
 	}
+	d.countQuiet(quiet, &rs, &rep)
 	d.t += dt
 	// A completed patrol pass is the device analogue of a sweep: it is
 	// when the profiling cadence ticks.
@@ -212,14 +225,20 @@ func (d *Device) ScrubRange(first, count int, dt float64, obs []LineObservation)
 	s := d.s
 	rep := ChunkReport{SimSeconds: dt, DemandWrites: int64(s.applyDemand(d.t, dt)), Observations: obs[:0]}
 	rs := scrub.RoundStats{Capability: s.capability}
+	var quiet int64
 	for j := 0; j < count; j++ {
 		slot := s.mapSlot(first + j)
 		if s.lev != nil && slot == s.lev.Gap() {
 			continue
 		}
 		tv := d.t + dt*float64(j+1)/float64(count)
+		if s.quiet(slot, tv) {
+			quiet++
+			continue
+		}
 		d.visitObserved(slot, tv, &rs, &rep)
 	}
+	d.countQuiet(quiet, &rs, &rep)
 	d.t += dt
 	return rep, nil
 }
@@ -243,6 +262,7 @@ func (d *Device) SetPolicy(p scrub.Policy) error {
 	case d.s.prof == nil || d.s.prof.cfg != *cfg:
 		d.s.prof = newProfiler(*cfg)
 	}
+	d.s.resolveQuiet()
 	return nil
 }
 

@@ -61,6 +61,9 @@ type state struct {
 	capability int
 	hasCRC     bool
 	width      widths
+	// skipQuiet is whether the patrol loops may count quiet visits instead
+	// of running them (see quiet); resolveQuiet sets it.
+	skipQuiet bool
 
 	// scrubOps and demandOps are the run's operation counts by
 	// attribution; fold prices them into the result's energy ledgers.
@@ -248,6 +251,7 @@ func newState(spec Spec) (*state, error) {
 	if cfg := spec.Policy.Profile; cfg != nil {
 		s.prof = newProfiler(*cfg)
 	}
+	s.resolveQuiet()
 	s.res.PolicyName = spec.Policy.Name()
 	s.res.SchemeName = spec.Scheme.Name()
 	s.res.WorkloadName = spec.Workload.Name
@@ -291,6 +295,46 @@ func (s *state) resolveWidths() {
 	if ws, ok := s.scheme.(secdedLike); ok {
 		s.width.secdedWords, s.width.bchUnits = int64(ws.Words()), 0
 	}
+}
+
+// resolveQuiet decides whether quiet visits may be counted in bulk: the
+// policy never rewrites a clean line (a write threshold of at least 1),
+// and no fault injector, on-die layer or profiler acts on a visit. Call
+// it whenever the policy, the injector, the layer or the profiler
+// changes.
+func (s *state) resolveQuiet() {
+	s.skipQuiet = s.policy.WriteThreshold >= 1 && s.inj == nil && s.ondie == nil && s.prof == nil
+}
+
+// quiet reports whether a visit to line i at time t would find nothing:
+// no crossing due, no drift error and no stuck bit, in a run where quiet
+// visits may be skipped (resolveQuiet). Such a visit draws no random
+// number and changes only counters, so the patrol loops count it with
+// countChecks instead of calling visit. It reads only fields visit reads.
+func (s *state) quiet(i int, t float64) bool {
+	return s.skipQuiet && t < s.due[i] && s.drift[i]|s.stuckBits[i] == 0
+}
+
+// countChecks counts n visits' first look at their lines: a light probe
+// (data and CRC read, one CRC pass) or a full read and decode.
+func (s *state) countChecks(n int64, rs *scrub.RoundStats) {
+	s.res.ScrubVisits += n
+	rs.Lines += n
+	if s.hasCRC {
+		s.scrubOps.ReadBits += n * s.width.probeRead
+		s.scrubOps.CRCPasses += n
+		s.res.ScrubProbes += n
+		return
+	}
+	s.scrubOps.ReadBits += n * s.width.fullRead
+	s.countDecodes(n)
+}
+
+// countDecodes counts n full decodes of a line.
+func (s *state) countDecodes(n int64) {
+	s.scrubOps.SECDEDWords += n * s.width.secdedWords
+	s.scrubOps.BCHUnits += n * s.width.bchUnits
+	s.res.ScrubDecodes += n
 }
 
 // writeLine reprograms a line at absolute time t: resets its drift clock,
@@ -449,8 +493,7 @@ func (s *state) patrolTarget(slot int) int {
 // stay truthful. When the injector is nil, observed == errBits on every
 // path and the visit is bit-identical to the baseline.
 func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
-	s.res.ScrubVisits++
-	rs.Lines++
+	s.countChecks(1, rs)
 	errBits := s.errorBits(i, t)
 	if s.ondie != nil {
 		// The chip corrects before the controller looks: everything below
@@ -464,12 +507,8 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		observed += s.inj.ReadFlip()
 	}
 
-	o := &s.scrubOps
 	if s.hasCRC {
-		// Read data + CRC and run the cheap probe.
-		o.ReadBits += s.width.probeRead
-		o.CRCPasses++
-		s.res.ScrubProbes++
+		// The probe read data + CRC; a clean line stops here.
 		if observed == 0 {
 			return
 		}
@@ -480,13 +519,9 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 			return // injected detector fault: erroneous line reads clean
 		}
 		// Probe fired: fetch the check bits and decode for the count.
-		o.ReadBits += s.width.checkRead
-	} else {
-		o.ReadBits += s.width.fullRead
+		s.scrubOps.ReadBits += s.width.checkRead
+		s.countDecodes(1)
 	}
-	o.SECDEDWords += s.width.secdedWords
-	o.BCHUnits += s.width.bchUnits
-	s.res.ScrubDecodes++
 
 	// Stuck ECC check bits corrupt the syndromes the decoder works
 	// against, eroding the line's effective correction margin.
@@ -518,7 +553,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 		}
 		s.attributeDetection(i, t)
 		s.writeLine(i, t)
-		o.WriteBits += s.width.write
+		s.scrubOps.WriteBits += s.width.write
 		s.res.RepairWrites++
 		s.recordArrayWrite(t)
 		return
@@ -530,7 +565,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if s.policy.ShouldWriteBack(info) {
 		s.res.CorrectedBits += int64(errBits)
 		s.writeLine(i, t)
-		o.WriteBits += s.width.write
+		s.scrubOps.WriteBits += s.width.write
 		s.res.ScrubWriteBacks++
 		rs.WriteBacks++
 		s.recordArrayWrite(t)
@@ -557,7 +592,8 @@ func (s *state) visitOffsets(dur float64) []float64 {
 // its visits into rs. Each substep lands its demand writes, then visits
 // its slice of the patrol order, up to cutoff: positions past it are
 // never visited. With leveling enabled the slot currently serving as the
-// gap holds stale data and is skipped.
+// gap holds stale data and is skipped. Quiet visits are counted at the
+// end of the substep instead of run.
 func (s *state) sweep(ctx context.Context, t, dur float64, cutoff int, rs *scrub.RoundStats) error {
 	offsets := s.visitOffsets(dur)
 	dt := dur / float64(s.spec.Substeps)
@@ -571,6 +607,7 @@ func (s *state) sweep(ctx context.Context, t, dur float64, cutoff int, rs *scrub
 		s.applyDemand(t0, dt)
 		lo := step * perStep
 		hi := min(lo+perStep, s.slots, cutoff)
+		var quiet int64
 		for pos := lo; pos < hi; pos++ {
 			if pos%visitStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -584,8 +621,14 @@ func (s *state) sweep(ctx context.Context, t, dur float64, cutoff int, rs *scrub
 			if s.prof != nil {
 				slot = s.patrolTarget(slot)
 			}
-			s.visit(slot, t+offsets[pos], rs)
+			tv := t + offsets[pos]
+			if s.quiet(slot, tv) {
+				quiet++
+				continue
+			}
+			s.visit(slot, tv, rs)
 		}
+		s.countChecks(quiet, rs)
 	}
 	return nil
 }

@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet test race fuzz check lint loc bench experiments experiments-check experiments-quick serve smoke-serve smoke-cluster smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
+.PHONY: all build vet test race fuzz check lint loc bench bench-ab experiments experiments-check experiments-quick serve smoke-serve smoke-cluster smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
 
 all: check
 
@@ -49,27 +49,63 @@ lint: vet
 loc:
 	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
-# bench refreshes the committed engine perf baseline: run the hot-loop
+# The benchmarks `make bench` and `make bench-ab` time: the hot-loop
 # engine benchmark, the per-layer physics sampler benchmarks it is made
 # of (crossing times, at the engine benchmark's own K and standalone,
 # and the exponential spacings under them; weakest endurances and the
 # normal quantile under the latter), one steady-state patrol sweep
 # (ns/visit) and one run's set-up on the campaign-cold basic rung, the
 # demand generator (one epoch's writes and the Zipf draw under it), one
-# replica of the db-oltp campaign and the per-codec decode benchmarks
-# with -benchmem, and render them as BENCH_engine.json via
-# cmd/benchjson. Each benchmark runs five times and is reported by its
-# median run. The reconcile block sets crossing sampling and endurance
-# draws against an engine run. BEFORE=old.json (a report made the same
-# way on an earlier commit) adds each benchmark's before and after
-# ns/op.
+# replica of the db-oltp campaign and the per-codec decode benchmarks.
+BENCH_RE = BenchmarkEngineRun|BenchmarkSweep|BenchmarkNewState|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkZipfSample|BenchmarkWritesInEpoch|BenchmarkRunShard|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode
+BENCH_PKGS = ./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/trace ./internal/core ./internal/ecc ./internal/ondie
+
+# bench refreshes the committed engine perf baseline: it runs the
+# BENCH_RE benchmarks five times each with -benchmem and renders them as
+# BENCH_engine.json via cmd/benchjson, each benchmark reported by its
+# median run. The reconcile block sets crossing samples, endurance
+# draws, the rest of a run's set-up and the patrol visits against an
+# engine run.
 bench:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkSweep|BenchmarkNewState|BenchmarkEngineCrossings|BenchmarkSampleCrossings|BenchmarkExponential|BenchmarkSampleWeakest|BenchmarkStdNormalQuantile|BenchmarkZipfSample|BenchmarkWritesInEpoch|BenchmarkRunShard|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
-		-benchmem -benchtime 1s -count 5 \
-		./internal/engine ./internal/pcm ./internal/wear ./internal/stats ./internal/trace ./internal/core ./internal/ecc ./internal/ondie | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson $(if $(BEFORE),-before $(BEFORE)) > BENCH_engine.json
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime 1s -count 5 \
+		$(BENCH_PKGS) | tee /dev/stderr | \
+		$(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "bench: wrote BENCH_engine.json"
+
+# bench-ab REV=<commit> [N=5] compares the working tree with an earlier
+# commit. It builds both trees' test binaries for BENCH_PKGS (REV's from
+# a `git archive` export in a temporary directory, removed afterwards),
+# then runs the two builds' BENCH_RE benchmarks alternately N times,
+# flipping which goes first each round, so host drift hits both alike.
+# BENCH_engine.json gets the working tree's medians, the reconcile block
+# and a changes block with each benchmark's median, interquartile range
+# and win count per build.
+N ?= 5
+bench-ab:
+	@test -n "$(REV)" || { echo "bench-ab: set REV=<commit>"; exit 1; }
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	mkdir -p $$dir/src $$dir/old $$dir/new; \
+	git archive $(REV) | tar -x -C $$dir/src; \
+	for p in $(BENCH_PKGS); do \
+		bin=$$(echo $$p | tr ./ __).test; \
+		(cd $$dir/src && $(GO) test -c -o $$dir/old/$$bin $$p); \
+		$(GO) test -c -o $$dir/new/$$bin $$p; \
+	done; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="old new"; else order="new old"; fi; \
+		for side in $$order; do \
+			root=$(CURDIR); [ $$side = old ] && root=$$dir/src; \
+			for p in $(BENCH_PKGS); do \
+				bin=$$dir/$$side/$$(echo $$p | tr ./ __).test; \
+				[ -x $$bin ] || continue; \
+				(cd $$root/$$p && $$bin -test.run '^$$' -test.bench '$(BENCH_RE)' \
+					-test.benchmem -test.benchtime 1s) >>$$dir/$$side.txt; \
+			done; \
+		done; \
+		echo "bench-ab: round $$i of $(N) done"; \
+	done; \
+	$(GO) run ./cmd/benchjson -ab $$dir/old.txt <$$dir/new.txt >BENCH_engine.json
+	@echo "bench-ab: wrote BENCH_engine.json"
 
 # Regenerate every table at CI scale.
 experiments:

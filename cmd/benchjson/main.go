@@ -10,13 +10,15 @@
 // The output keeps the benchstat-friendly raw lines alongside the parsed
 // numbers.
 //
-// With -before OLD.json (an earlier benchjson report, for example one
-// made on the parent commit), the output also carries a "changes" block
-// with each shared benchmark's ns/op before and after. When the run
-// holds BenchmarkEngineRun, a "reconcile" block sets each layer it
-// counts against its per-call benchmark: crossings/op times
-// BenchmarkEngineCrossings and weakest/op times BenchmarkSampleWeakest,
-// each as a share of an engine run.
+// With -ab OLD.txt (the `go test -bench` output of an earlier build,
+// run alternately with the output on stdin, as `make bench-ab` does),
+// the output also carries a "changes" block: per shared benchmark, the
+// median and interquartile range of each build's ns/op and how many of
+// the alternated pairs the stdin build won. When the run holds
+// BenchmarkEngineRun, a "reconcile" block sets each layer it counts
+// against the benchmark that times the layer, as a share of an engine
+// run: crossing samples, endurance draws, the rest of a run's set-up and
+// the patrol visits.
 package main
 
 import (
@@ -52,13 +54,19 @@ type Benchmark struct {
 	Raw string `json:"raw"`
 }
 
-// Change relates one benchmark's ns/op in the -before report to this
-// run's. Speedup is before/after.
+// Change compares one benchmark across Pairs alternated runs of an
+// earlier build (before) and this one (after): each side's median ns/op
+// and interquartile range, Speedup = before median / after median, and
+// Wins, the pairs in which this build was faster.
 type Change struct {
-	Name     string  `json:"name"`
-	BeforeNs float64 `json:"before_ns_per_op"`
-	AfterNs  float64 `json:"after_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
+	Name      string  `json:"name"`
+	Pairs     int     `json:"pairs"`
+	BeforeNs  float64 `json:"before_ns_per_op"`
+	BeforeIQR float64 `json:"before_iqr_ns"`
+	AfterNs   float64 `json:"after_ns_per_op"`
+	AfterIQR  float64 `json:"after_iqr_ns"`
+	Speedup   float64 `json:"speedup"`
+	Wins      int     `json:"wins"`
 }
 
 // Reconciliation sets per-layer costs against an engine run. Share is
@@ -71,24 +79,48 @@ type Reconciliation struct {
 
 // ReconcileLine is one layer of an engine run: Ns = Calls × NsPerCall,
 // and Share = Ns/EngineNs. Calls is a BenchmarkEngineRun metric and
-// NsPerCall the ns/op of the benchmark that times one call.
+// NsPerCall comes from the benchmark that times the layer, net of the
+// draws that benchmark makes which other layers already count (NetOf).
 type ReconcileLine struct {
-	Layer     string  `json:"layer"`
-	Benchmark string  `json:"benchmark"`
-	Calls     float64 `json:"calls_per_op"`
-	NsPerCall float64 `json:"ns_per_call"`
-	Ns        float64 `json:"ns_per_op"`
-	Share     float64 `json:"share"`
+	Layer     string   `json:"layer"`
+	Benchmark string   `json:"benchmark"`
+	NetOf     []string `json:"net_of,omitempty"`
+	Calls     float64  `json:"calls_per_op"`
+	NsPerCall float64  `json:"ns_per_call"`
+	Ns        float64  `json:"ns_per_op"`
+	Share     float64  `json:"share"`
 }
 
-// reconcileLayers names, per layer, the BenchmarkEngineRun metric that
-// counts its calls and the benchmark that times one call.
-// BenchmarkEngineCrossings uses the engine benchmark's own sampler and
-// K; BenchmarkSampleWeakest uses the default wear parameters, which the
-// engine benchmark's spec uses too.
-var reconcileLayers = []struct{ layer, metric, bench string }{
-	{"crossings", "crossings/op", "BenchmarkEngineCrossings"},
-	{"weakest", "weakest/op", "BenchmarkSampleWeakest"},
+// layer describes one reconcile line. metric is the BenchmarkEngineRun
+// metric counting the layer's calls, and bench the benchmark timing it in
+// unit (ns/op, or a custom metric such as ns/visit). Each entry of net
+// names a bench metric counting draws per unit that another layer's
+// benchmark times; they are taken out at that benchmark's ns/op. per,
+// when set, is the bench metric that divides the net cost into calls.
+type layer struct {
+	name, metric, bench, unit, per string
+	net                            []draw
+}
+
+// draw is a count of calls per unit (a bench metric) and the benchmark
+// that times one call.
+type draw struct{ metric, bench string }
+
+// reconcileLayers are the layers of BenchmarkEngineRun. Every crossing
+// sample and endurance draw, the initial fill included, is counted once,
+// in the first two layers: BenchmarkEngineCrossings uses the engine
+// benchmark's own sampler and K, and BenchmarkSampleWeakest the default
+// wear parameters, which every engine benchmark's spec uses too. The
+// set-up layer is the rest of BenchmarkNewState per line, and the visit
+// layer BenchmarkSweep's ns/visit net of its line writes' crossing
+// samples.
+var reconcileLayers = []layer{
+	{name: "crossings", metric: "crossings/op", bench: "BenchmarkEngineCrossings", unit: "ns/op"},
+	{name: "weakest", metric: "weakest/op", bench: "BenchmarkSampleWeakest", unit: "ns/op"},
+	{name: "setup", metric: "lines/op", bench: "BenchmarkNewState", unit: "ns/op", per: "lines/op",
+		net: []draw{{"crossings/op", "BenchmarkEngineCrossings"}, {"weakest/op", "BenchmarkSampleWeakest"}}},
+	{name: "visits", metric: "visits/op", bench: "BenchmarkSweep", unit: "ns/visit",
+		net: []draw{{"crossings/visit", "BenchmarkEngineCrossings"}}},
 }
 
 // Report is the document benchjson emits.
@@ -100,10 +132,13 @@ type Report struct {
 	Benchmarks []Benchmark     `json:"benchmarks"`
 	Changes    []Change        `json:"changes,omitempty"`
 	Reconcile  *Reconciliation `json:"reconcile,omitempty"`
+
+	// runs holds every result line per benchmark name, in input order.
+	runs map[string][]Benchmark
 }
 
 func main() {
-	before := flag.String("before", "", "earlier benchjson report to list each shared benchmark's before and after ns/op against")
+	before := flag.String("ab", "", "`go test -bench` output of an earlier build, run alternately with stdin's, to compare each shared benchmark against")
 	flag.Parse()
 	if err := run(os.Stdin, os.Stdout, *before); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -120,11 +155,16 @@ func run(in *os.File, out *os.File, before string) error {
 		return fmt.Errorf("no benchmark lines on stdin (run with `go test -bench . -benchmem`)")
 	}
 	if before != "" {
-		old, err := readReport(before)
+		f, err := os.Open(before)
 		if err != nil {
 			return err
 		}
-		rep.Changes = changes(old.Benchmarks, rep.Benchmarks)
+		old, err := parse(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", before, err)
+		}
+		rep.Changes = changes(old, rep)
 	}
 	rep.Reconcile = reconcile(rep.Benchmarks)
 	enc := json.NewEncoder(out)
@@ -132,41 +172,68 @@ func run(in *os.File, out *os.File, before string) error {
 	return enc.Encode(rep)
 }
 
-// readReport loads a report benchjson wrote earlier.
-func readReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// changes pairs every benchmark of this run with the same-named one in
-// the earlier run, in this run's order.
-func changes(before, after []Benchmark) []Change {
-	old := make(map[string]float64, len(before))
-	for _, b := range before {
-		old[stripCPUSuffix(b.Name)] = b.NsPerOp
+// changes compares every benchmark of this run with the same-named one
+// of the earlier build, in this run's order. The k-th runs of the two
+// builds form the k-th alternated pair; a benchmark missing from either
+// side is left out.
+func changes(before, after *Report) []Change {
+	old := make(map[string][]Benchmark, len(before.runs))
+	for name, runs := range before.runs {
+		old[stripCPUSuffix(name)] = runs
 	}
 	var out []Change
-	for _, b := range after {
+	for _, b := range after.Benchmarks {
 		name := stripCPUSuffix(b.Name)
-		ns, ok := old[name]
-		if !ok || ns <= 0 || b.NsPerOp <= 0 {
+		ob, nb := nsPerOp(old[name]), nsPerOp(after.runs[b.Name])
+		pairs := min(len(ob), len(nb))
+		if pairs == 0 {
 			continue
 		}
-		out = append(out, Change{Name: name, BeforeNs: ns, AfterNs: b.NsPerOp, Speedup: ns / b.NsPerOp})
+		c := Change{Name: name, Pairs: pairs}
+		for k := 0; k < pairs; k++ {
+			if nb[k] < ob[k] {
+				c.Wins++
+			}
+		}
+		var q1, q3 float64
+		q1, c.BeforeNs, q3 = quartiles(ob)
+		c.BeforeIQR = q3 - q1
+		q1, c.AfterNs, q3 = quartiles(nb)
+		c.AfterIQR = q3 - q1
+		c.Speedup = c.BeforeNs / c.AfterNs
+		out = append(out, c)
 	}
 	return out
 }
 
+// nsPerOp lists the runs' ns/op in run order.
+func nsPerOp(runs []Benchmark) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = r.NsPerOp
+	}
+	return out
+}
+
+// quartiles returns the lower quartile, median and upper quartile of
+// xs, interpolating linearly between order statistics.
+func quartiles(xs []float64) (q1, median, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
 // reconcile sets each layer in reconcileLayers against
-// BenchmarkEngineRun's ns/op, skipping layers whose metric or per-call
-// benchmark the run lacks. It returns nil when no layer is present.
+// BenchmarkEngineRun's ns/op, skipping layers whose metrics or
+// benchmarks the run lacks. It returns nil when no layer is present.
 func reconcile(bs []Benchmark) *Reconciliation {
 	byName := make(map[string]*Benchmark, len(bs))
 	for i := range bs {
@@ -179,25 +246,55 @@ func reconcile(bs []Benchmark) *Reconciliation {
 	rec := &Reconciliation{EngineNs: engine.NsPerOp}
 	for _, l := range reconcileLayers {
 		calls, ok := engine.Metrics[l.metric]
-		per := byName[l.bench]
-		if !ok || per == nil {
+		per, ok2 := l.nsPerCall(byName)
+		if !ok || !ok2 {
 			continue
 		}
-		ns := calls * per.NsPerOp
-		rec.Layers = append(rec.Layers, ReconcileLine{
-			Layer:     l.layer,
-			Benchmark: l.bench,
-			Calls:     calls,
-			NsPerCall: per.NsPerOp,
-			Ns:        ns,
-			Share:     ns / engine.NsPerOp,
-		})
-		rec.Share += ns / engine.NsPerOp
+		line := ReconcileLine{Layer: l.name, Benchmark: l.bench, Calls: calls, NsPerCall: per, Ns: calls * per}
+		for _, d := range l.net {
+			line.NetOf = append(line.NetOf, d.bench)
+		}
+		line.Share = line.Ns / engine.NsPerOp
+		rec.Layers = append(rec.Layers, line)
+		rec.Share += line.Share
 	}
 	if len(rec.Layers) == 0 {
 		return nil
 	}
 	return rec
+}
+
+// nsPerCall is the layer's cost per call: its benchmark's cost per unit,
+// less the draws other layers count, divided by the calls per unit. ok
+// is false when a benchmark or metric it needs is missing.
+func (l layer) nsPerCall(byName map[string]*Benchmark) (float64, bool) {
+	b := byName[l.bench]
+	if b == nil {
+		return 0, false
+	}
+	ns := b.NsPerOp
+	if l.unit != "ns/op" {
+		var ok bool
+		if ns, ok = b.Metrics[l.unit]; !ok {
+			return 0, false
+		}
+	}
+	for _, d := range l.net {
+		n, found := b.Metrics[d.metric]
+		per := byName[d.bench]
+		if !found || per == nil {
+			return 0, false
+		}
+		ns -= n * per.NsPerOp
+	}
+	if l.per != "" {
+		n := b.Metrics[l.per]
+		if n <= 0 {
+			return 0, false
+		}
+		ns /= n
+	}
+	return ns, true
 }
 
 // stripCPUSuffix drops the trailing "-N" GOMAXPROCS marker go test
@@ -216,8 +313,8 @@ func stripCPUSuffix(name string) string {
 // are ignored so the tool can sit directly on a `go test` pipe. A
 // benchmark run several times is reported by its median-ns/op line.
 func parse(in *os.File) (*Report, error) {
-	rep := &Report{}
-	runs := map[string][]Benchmark{}
+	rep := &Report{runs: map[string][]Benchmark{}}
+	runs := rep.runs
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -250,7 +347,7 @@ func parse(in *os.File) (*Report, error) {
 		}
 	}
 	for i, b := range rep.Benchmarks {
-		rep.Benchmarks[i] = median(runs[b.Name])
+		rep.Benchmarks[i] = median(append([]Benchmark(nil), runs[b.Name]...))
 	}
 	return rep, sc.Err()
 }

@@ -57,39 +57,90 @@ BenchmarkExponential-2   100   8 ns/op
 	}
 }
 
+// parseString parses go test output held in a string.
+func parseString(t *testing.T, text string) *Report {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(f, text)
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestChangesAndReconcile(t *testing.T) {
-	before := []Benchmark{
-		{Name: "BenchmarkEngineRun-2", NsPerOp: 1200},
-		{Name: "BenchmarkExponential-4", NsPerOp: 24},
-		{Name: "BenchmarkGone-2", NsPerOp: 5},
-	}
-	after := []Benchmark{
-		{Name: "BenchmarkEngineRun-2", NsPerOp: 1000, Metrics: map[string]float64{"crossings/op": 2, "weakest/op": 4}},
-		{Name: "BenchmarkEngineCrossings-2", NsPerOp: 250},
-		{Name: "BenchmarkSampleWeakest-2", NsPerOp: 50},
-		{Name: "BenchmarkExponential-2", NsPerOp: 12},
-	}
+	// Five alternated pairs: the after build wins pairs 1, 2, 4 and 5.
+	before := parseString(t, `BenchmarkEngineRun-2 1 1200 ns/op
+BenchmarkExponential-4 1 24 ns/op
+BenchmarkGone-2 1 5 ns/op
+BenchmarkEngineRun-2 1 1100 ns/op
+BenchmarkExponential-4 1 20 ns/op
+BenchmarkEngineRun-2 1 900 ns/op
+BenchmarkEngineRun-2 1 1300 ns/op
+BenchmarkEngineRun-2 1 1000 ns/op
+`)
+	after := parseString(t, `BenchmarkEngineRun-2 1 1000 ns/op
+BenchmarkExponential-2 1 12 ns/op
+BenchmarkEngineRun-2 1 1050 ns/op
+BenchmarkExponential-2 1 30 ns/op
+BenchmarkEngineRun-2 1 950 ns/op
+BenchmarkEngineRun-2 1 800 ns/op
+BenchmarkEngineRun-2 1 700 ns/op
+`)
 	cs := changes(before, after)
 	if len(cs) != 2 || cs[0].Name != "BenchmarkEngineRun" || cs[1].Name != "BenchmarkExponential" {
 		t.Fatalf("changes = %+v, want EngineRun then Exponential", cs)
 	}
-	if cs[1].BeforeNs != 24 || cs[1].AfterNs != 12 || cs[1].Speedup != 2 {
-		t.Errorf("Exponential change = %+v, want 24 -> 12, speedup 2", cs[1])
+	want := Change{Name: "BenchmarkEngineRun", Pairs: 5, BeforeNs: 1100, BeforeIQR: 200,
+		AfterNs: 950, AfterIQR: 200, Speedup: 1100.0 / 950, Wins: 4}
+	if cs[0] != want {
+		t.Errorf("EngineRun change = %+v, want %+v", cs[0], want)
 	}
-	rec := reconcile(after)
+	if c := cs[1]; c.Pairs != 2 || c.Wins != 1 || c.BeforeNs != 22 || c.AfterNs != 21 || c.BeforeIQR != 2 || c.AfterIQR != 9 {
+		t.Errorf("Exponential change = %+v, want 2 pairs, 1 win, 22 -> 21, IQR 2 and 9", c)
+	}
+}
+
+func TestReconcileCountsEachDrawOnce(t *testing.T) {
+	bs := []Benchmark{
+		{Name: "BenchmarkEngineRun-2", NsPerOp: 1000, Metrics: map[string]float64{
+			"crossings/op": 2, "weakest/op": 4, "lines/op": 4, "visits/op": 10}},
+		{Name: "BenchmarkEngineCrossings-2", NsPerOp: 100},
+		{Name: "BenchmarkSampleWeakest-2", NsPerOp: 50},
+		// 8 lines: 8 crossing samples and 8 endurance draws (1200 ns) of
+		// 1600 ns leave 50 ns of other set-up per line.
+		{Name: "BenchmarkNewState-2", NsPerOp: 1600, Metrics: map[string]float64{
+			"lines/op": 8, "crossings/op": 8, "weakest/op": 8}},
+		// A visit costs 12 ns, 2 of them its line writes' crossing samples.
+		{Name: "BenchmarkSweep-2", NsPerOp: 1234, Metrics: map[string]float64{
+			"ns/visit": 12, "crossings/visit": 0.02}},
+	}
+	rec := reconcile(bs)
+	crossings := []string{"BenchmarkEngineCrossings"}
 	want := []ReconcileLine{
-		{Layer: "crossings", Benchmark: "BenchmarkEngineCrossings", Calls: 2, NsPerCall: 250, Ns: 500, Share: 0.5},
+		{Layer: "crossings", Benchmark: "BenchmarkEngineCrossings", Calls: 2, NsPerCall: 100, Ns: 200, Share: 0.2},
 		{Layer: "weakest", Benchmark: "BenchmarkSampleWeakest", Calls: 4, NsPerCall: 50, Ns: 200, Share: 0.2},
+		{Layer: "setup", Benchmark: "BenchmarkNewState", NetOf: []string{"BenchmarkEngineCrossings", "BenchmarkSampleWeakest"},
+			Calls: 4, NsPerCall: 50, Ns: 200, Share: 0.2},
+		{Layer: "visits", Benchmark: "BenchmarkSweep", NetOf: crossings, Calls: 10, NsPerCall: 10, Ns: 100, Share: 0.1},
 	}
 	if rec == nil || !reflect.DeepEqual(rec.Layers, want) || rec.EngineNs != 1000 || math.Abs(rec.Share-0.7) > 1e-12 {
-		t.Errorf("reconcile = %+v, want crossings 500 ns and weakest 200 ns of 1000, share 0.7", rec)
+		t.Errorf("reconcile = %+v, want %+v, share 0.7", rec, want)
 	}
-	// A layer whose per-call benchmark is missing is left out.
-	rec = reconcile(after[:2])
-	if rec == nil || len(rec.Layers) != 1 || rec.Layers[0].Layer != "crossings" || rec.Share != 0.5 {
-		t.Errorf("reconcile without SampleWeakest = %+v, want the crossing line alone", rec)
+	// A layer whose benchmark, or a draw it nets out, is missing is left
+	// out: without BenchmarkSampleWeakest the set-up line goes too.
+	rec = reconcile([]Benchmark{bs[0], bs[1], bs[3], bs[4]})
+	if rec == nil || len(rec.Layers) != 2 || rec.Layers[0].Layer != "crossings" || rec.Layers[1].Layer != "visits" {
+		t.Errorf("reconcile without SampleWeakest = %+v, want the crossing and visit lines", rec)
 	}
-	if reconcile(before) != nil {
-		t.Error("reconcile without any layer metric should be nil")
+	if reconcile(bs[1:]) != nil {
+		t.Error("reconcile without BenchmarkEngineRun should be nil")
 	}
 }

@@ -246,11 +246,12 @@ func TestCanceledRunCountsInStats(t *testing.T) {
 // records it in BENCH_engine.json). testSpec has no pre-aging and no SLC
 // form switch, so each line write, the initial fill included, samples
 // crossings once: crossings/op is the run's line-write count, which
-// make bench multiplies by BenchmarkEngineCrossings' ns/op.
+// make bench multiplies by BenchmarkEngineCrossings' ns/op. lines/op and
+// visits/op size the set-up and patrol layers of its reconciliation.
 func BenchmarkEngineRun(b *testing.B) {
 	spec := testSpec()
 	b.ReportAllocs()
-	var writes, draws int64
+	var writes, draws, visits int64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(spec)
 		if err != nil {
@@ -261,9 +262,13 @@ func BenchmarkEngineRun(b *testing.B) {
 		// slot per line); a one-shot run's UE repairs rewrite in place
 		// without redrawing.
 		draws += int64(res.Lines)
+		visits += res.ScrubVisits
 	}
-	b.ReportMetric(float64(writes)/float64(b.N), "crossings/op")
-	b.ReportMetric(float64(draws)/float64(b.N), "weakest/op")
+	n := float64(b.N)
+	b.ReportMetric(float64(writes)/n, "crossings/op")
+	b.ReportMetric(float64(draws)/n, "weakest/op")
+	b.ReportMetric(float64(draws)/n, "lines/op")
+	b.ReportMetric(float64(visits)/n, "visits/op")
 }
 
 // sweepSpec is the basic rung of the campaign-cold workload: idle-archive
@@ -293,7 +298,10 @@ func sweepSpec(b *testing.B) Spec {
 // BenchmarkSweep times one steady-state patrol sweep of sweepSpec's
 // device: the substeps' demand writes and one visit per line. Each
 // iteration continues the same device one interval later, after a
-// day of warm-up sweeps; ns/visit is the per-visit cost.
+// day of warm-up sweeps; ns/visit is the per-visit cost. Every line
+// write (demand, write-back or repair) samples crossings once:
+// crossings/visit lets make bench take those draws out of ns/visit, so
+// its reconciliation counts each draw once.
 func BenchmarkSweep(b *testing.B) {
 	spec := sweepSpec(b)
 	s, err := newState(spec)
@@ -310,20 +318,31 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		t += spec.Interval
 	}
+	writes := func() (n int64) {
+		for _, w := range s.writes[:s.slots] {
+			n += int64(w)
+		}
+		return n
+	}
 	for t < 86400 {
 		sweep()
 	}
-	visits := s.res.ScrubVisits
+	visits, written := s.res.ScrubVisits, writes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.res.ScrubVisits-visits), "ns/visit")
+	b.StopTimer()
+	visits = s.res.ScrubVisits - visits
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visits), "ns/visit")
+	b.ReportMetric(float64(writes()-written)/float64(visits), "crossings/visit")
 }
 
 // BenchmarkNewState times a run's set-up for sweepSpec: pooled state,
 // cached sampler, demand generator, patrol order, endurance draws and
-// the initial write of every line.
+// the initial write of every line. Each line draws its endurances and
+// samples crossings once, which make bench takes out of the set-up line
+// of its reconciliation.
 func BenchmarkNewState(b *testing.B) {
 	spec := sweepSpec(b)
 	b.ReportAllocs()
@@ -334,6 +353,10 @@ func BenchmarkNewState(b *testing.B) {
 		}
 		s.release()
 	}
+	lines := float64(spec.Geometry.TotalLines())
+	b.ReportMetric(lines, "lines/op")
+	b.ReportMetric(lines, "crossings/op")
+	b.ReportMetric(lines, "weakest/op")
 }
 
 // BenchmarkEngineCrossings times one SampleCrossings call with the

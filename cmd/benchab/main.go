@@ -24,9 +24,10 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/stats"
 )
 
 // metricSpec is one end-to-end metric of BENCHMARK.json.
@@ -202,18 +203,7 @@ func summarize(before, after []float64, better string) summary {
 	return s
 }
 
-// quartiles returns the lower quartile, median and upper quartile of
-// xs, interpolating linearly between order statistics.
+// quartiles returns the lower quartile, median and upper quartile of xs.
 func quartiles(xs []float64) [3]float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	at := func(p float64) float64 {
-		pos := p * float64(len(s)-1)
-		lo := int(pos)
-		if lo+1 >= len(s) {
-			return s[lo]
-		}
-		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
-	}
-	return [3]float64{at(0.25), at(0.5), at(0.75)}
+	return [3]float64{stats.Quantile(xs, 0.25), stats.Quantile(xs, 0.5), stats.Quantile(xs, 0.75)}
 }

@@ -21,15 +21,6 @@ func TestSummarizeCountsWinsByDirection(t *testing.T) {
 	}
 }
 
-func TestQuartilesInterpolate(t *testing.T) {
-	if q := quartiles([]float64{4, 1, 3, 2}); q != [3]float64{1.75, 2.5, 3.25} {
-		t.Errorf("quartiles = %v, want [1.75 2.5 3.25]", q)
-	}
-	if q := quartiles([]float64{7}); q != [3]float64{7, 7, 7} {
-		t.Errorf("one value: quartiles = %v, want all 7", q)
-	}
-}
-
 func TestReadMetricsFromBenchmarkFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCHMARK.json")
 	doc := `{"end_to_end": [{"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}`

@@ -30,6 +30,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Benchmark is one parsed `go test -bench` result line.
@@ -195,11 +197,8 @@ func changes(before, after *Report) []Change {
 				c.Wins++
 			}
 		}
-		var q1, q3 float64
-		q1, c.BeforeNs, q3 = quartiles(ob)
-		c.BeforeIQR = q3 - q1
-		q1, c.AfterNs, q3 = quartiles(nb)
-		c.AfterIQR = q3 - q1
+		c.BeforeNs, c.BeforeIQR = stats.Quantile(ob, 0.5), iqr(ob)
+		c.AfterNs, c.AfterIQR = stats.Quantile(nb, 0.5), iqr(nb)
 		c.Speedup = c.BeforeNs / c.AfterNs
 		out = append(out, c)
 	}
@@ -215,20 +214,9 @@ func nsPerOp(runs []Benchmark) []float64 {
 	return out
 }
 
-// quartiles returns the lower quartile, median and upper quartile of
-// xs, interpolating linearly between order statistics.
-func quartiles(xs []float64) (q1, median, q3 float64) {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	at := func(p float64) float64 {
-		pos := p * float64(len(s)-1)
-		lo := int(pos)
-		if lo+1 >= len(s) {
-			return s[lo]
-		}
-		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
-	}
-	return at(0.25), at(0.5), at(0.75)
+// iqr is the distance between the quartiles of xs.
+func iqr(xs []float64) float64 {
+	return stats.Quantile(xs, 0.75) - stats.Quantile(xs, 0.25)
 }
 
 // reconcile sets each layer in reconcileLayers against

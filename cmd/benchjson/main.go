@@ -191,6 +191,7 @@ func changes(before, after *Report) []Change {
 		if pairs == 0 {
 			continue
 		}
+		ob, nb = ob[:pairs], nb[:pairs]
 		c := Change{Name: name, Pairs: pairs}
 		for k := 0; k < pairs; k++ {
 			if nb[k] < ob[k] {
